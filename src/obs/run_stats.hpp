@@ -10,8 +10,11 @@
 //   decide_seconds    time inside Scheduler::allocate()
 //   observer_seconds  time inside Observer::on_decision callbacks
 //   solver_seconds    everything else in the event loop: exact event-time
-//                     solving, state advance, completions, admissions
-//                     (including on_arrival/on_completion callbacks)
+//                     solving, state advance, completions, and every
+//                     admission pass — the ones that follow a decision
+//                     step, the run's first one and the ones after an
+//                     idle jump alike (on_arrival/on_completion callbacks
+//                     included)
 //   wall_seconds      whole run; >= the sum of the three buckets
 #pragma once
 
@@ -28,10 +31,14 @@ namespace parsched::obs {
   return {1e-9, 1e-6, 1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0, 1e4};
 }
 
-/// Alive-count histogram bounds (jobs, powers of two): the paper's
-/// adversary sustains Θ(m log P) backlog, random critical load Θ(m).
+/// Alive-count histogram bounds (jobs): every power of two from 1 to
+/// 2^20. The paper's adversary sustains Θ(m log P) backlog and random
+/// critical load Θ(m), while the dense-alive and backlog benchmarks run
+/// at 10^5–10^6 alive jobs.
 [[nodiscard]] inline std::vector<double> alive_count_bounds() {
-  return {1, 2, 4, 8, 16, 32, 64, 128, 256, 1024, 4096};
+  std::vector<double> bounds;
+  for (int e = 0; e <= 20; ++e) bounds.push_back(static_cast<double>(1 << e));
+  return bounds;
 }
 
 struct RunStats {

@@ -147,10 +147,6 @@ Engine::Engine(int machines, EngineConfig config)
     throw std::invalid_argument("engine speed must be positive");
   }
   audit_allocs_ = env::get_flag("PARSCHED_AUDIT");
-  // The incremental arm rides on the cache's memo protocol (the heaps
-  // fill the cache-owned order buffers), so it is only armed when both
-  // knobs are on. cfg_ is immutable after construction.
-  inc_on_ = cfg_.use_context_cache && cfg_.use_incremental_orders;
 }
 
 void Engine::add_observer(Observer* obs) {
@@ -193,7 +189,7 @@ void Engine::begin_run(Scheduler& sched) {
   alloc_warm_n_ = 0;
   flow_q_.clear();
   soa_.clear();
-  inc_orders_.clear();
+  orders_.clear();
   rates_valid_ = false;
   stats_ = nullptr;
   // Profiling is opt-in: with collect_stats off (the default) `stats_` is
@@ -280,18 +276,10 @@ void Engine::admit_job_now(Job j) {
   if (comp_idx_.capacity() < alive_.size()) {
     comp_idx_.reserve(std::max(alive_.size(), comp_idx_.capacity() * 2));
   }
-  // Same pre-payment for the ordering-helper buffers: which helper code
-  // path runs depends on the alive count (small-k selection vs. full
-  // gather), so a *shrinking* run can reach a buffer that the larger
-  // steps never touched. Reserving to the high-water mark here makes
-  // every path allocation-free regardless of where the switch lands.
-  ctx_cache_.reserve(alive_.size());
-  // Incremental arm: pre-pay heap growth here too (outside the guarded
-  // scopes), then push the new job — one O(log n) sift per heap.
-  if (inc_on_) {
-    inc_orders_.reserve(alive_.size());
-    inc_orders_.insert(alive_.back(), alive_.size() - 1);
-  }
+  // Same pre-payment for the ordering module (outside the guarded
+  // scopes), then enter the new job into both orders.
+  orders_.reserve(alive_.size());
+  orders_.insert(alive_.back(), alive_.size() - 1);
   ++result_.events;
   if (cfg_.recorder != nullptr) {
     cfg_.recorder->record(obs::FlightEvent::kAdmit,
@@ -302,6 +290,7 @@ void Engine::admit_job_now(Job j) {
 }
 
 void Engine::admit_pending(ArrivalSource& source) {
+  const double t0 = stats_ != nullptr ? obs::monotonic_seconds() : 0.0;
   for (;;) {
     const double nt = source.next_time(*this);
     if (!(nt <= now_ + cfg_.time_tol)) break;
@@ -315,17 +304,24 @@ void Engine::admit_pending(ArrivalSource& source) {
     }
     for (Job& j : jobs) admit_job_now(std::move(j));
   }
+  if (stats_ != nullptr) {
+    stats_->solver_seconds += obs::monotonic_seconds() - t0;  // admissions
+  }
 }
 
 void Engine::release_due() {
   // The streaming twin of admit_pending(): pending_ is kept sorted by
   // release (stable among equals), so admission order — and therefore
   // arrival_seq — matches what a VectorSource over the same jobs yields.
+  const double t0 = stats_ != nullptr ? obs::monotonic_seconds() : 0.0;
   while (!pending_.empty() &&
          pending_.front().release <= now_ + cfg_.time_tol) {
     Job j = std::move(pending_.front());
     pending_.pop_front();
     admit_job_now(std::move(j));
+  }
+  if (stats_ != nullptr) {
+    stats_->solver_seconds += obs::monotonic_seconds() - t0;  // admissions
   }
 }
 
@@ -396,10 +392,7 @@ PARSCHED_HOT Engine::Step Engine::decision_step(double t_arrive,
     if (++result_.decisions > cfg_.max_decisions) {
       throw std::runtime_error("engine exceeded max_decisions guard");
     }
-    ctx_cache_.invalidate();
-    SchedulerContext ctx(now_, m_, alive_, &ctx_cache_,
-                         cfg_.use_context_cache,
-                         inc_on_ ? &inc_orders_ : nullptr);
+    SchedulerContext ctx(now_, m_, alive_, orders_);
     // PARSCHED_AUDIT: warm allocate+rates sections must not touch the
     // heap — every scratch buffer is capacity-stable once a step at this
     // alive count has completed. (A policy-error throw inside the scope
@@ -482,7 +475,7 @@ PARSCHED_HOT Engine::Step Engine::decision_step(double t_arrive,
   // update in the full arm is the identity (see the FlowQ invariants in
   // engine.hpp — the phase-advance condition and the completion compare
   // are constant-false on a survivor while its rate stays 0), and the
-  // flow increment 0.5*(r+r)/size*dt reuses the memoized division result
+  // flow increment 0.5*(r+r)/size*dt reuses the cached division result
   // for the job's exact current remaining.
   bool phase_advanced = false;
   comp_idx_.clear();
@@ -495,7 +488,7 @@ PARSCHED_HOT Engine::Step Engine::decision_step(double t_arrive,
     sweep_fence.emplace("Engine decision step: advance sweep");
   }
   const double ctol = cfg_.completion_tol;
-  // Incremental arm: pick the key-maintenance mode for this sweep. With
+  // Pick the SRPT heap's key-maintenance mode for this sweep. With
   // a sparse allocation (SRPT-style: at most m of n jobs run) each
   // changed key costs one O(log n) sift; when most keys move at once
   // (EQUI-style dense allocations, > n/8 nonzero rates) n sifts lose to
@@ -504,14 +497,14 @@ PARSCHED_HOT Engine::Step Engine::decision_step(double t_arrive,
   // policies that only consume latest-arrival order, whose keys are
   // immutable). dt == 0 moves no key, and a heap already stale stays
   // stale for free.
-  bool inc_eager = false;
+  bool srpt_eager = false;
   // Exact-zero test on purpose: dt == 0 steps (simultaneous events)
-  // change no remaining-work key bit, so the heaps need no maintenance.
-  if (inc_on_ && dt != 0.0 && !inc_orders_.srpt_stale()) {  // lint: float-eq-ok
+  // change no remaining-work key bit, so the heap needs no maintenance.
+  if (dt != 0.0 && !orders_.srpt_stale()) {  // lint: float-eq-ok
     if (rates_nonzero_ * 8 > alive_.size()) {
-      inc_orders_.decay_epoch();
+      orders_.decay_epoch();
     } else {
-      inc_eager = true;
+      srpt_eager = true;
     }
   }
   for (std::size_t i = 0; i < alive_.size(); ++i) {
@@ -530,7 +523,7 @@ PARSCHED_HOT Engine::Step Engine::decision_step(double t_arrive,
       a.remaining = after;
       soa_.remaining[i] = after;
       a.phase_remaining = std::max(0.0, a.phase_remaining - r * dt);
-      if (inc_eager) inc_orders_.update_remaining(i, after);
+      if (srpt_eager) orders_.update_remaining(i, after);
     } else {
       // First visit at rate 0 (admission / restore): same arithmetic as
       // the r != 0 arm with the r*dt terms — exactly 0.0 here — elided.
@@ -603,10 +596,10 @@ PARSCHED_HOT Engine::Step Engine::decision_step(double t_arrive,
         }
         result_.records.push_back(std::move(rec));
         --end;
-        // Mirror the swap-remove into the heaps: delete index i, remap
+        // Mirror the swap-remove into the orders: delete index i, remap
         // the back entry (alive index `end`) to i — the same move the
-        // alive_/flow_q_ lines below perform. O(log n) per heap.
-        if (inc_on_) inc_orders_.remove_swap(i, end);
+        // alive_/flow_q_ lines below perform.
+        orders_.remove_swap(i, end);
         soa_.swap_remove(i, end);
         if (i == end) break;
         alive_[i] = std::move(alive_[end]);
@@ -670,11 +663,12 @@ PARSCHED_HOT Engine::Step Engine::decision_step(double t_arrive,
     throw SimulationStall(now_, os.str());
   }
   // PARSCHED_AUDIT: after every advanced step, cross-check the
-  // persistent heaps against the alive set — key payloads, position
-  // maps and both heap properties (O(n), audit runs only). A divergence
-  // here trips a contract failure at the step that caused it instead of
-  // surfacing decisions later as a wrong ordering.
-  if (audit_allocs_ && inc_on_) inc_orders_.audit(alive_);
+  // persistent orders against the alive set — key payloads, position
+  // maps, the heap property, the latest array's sortedness and tombstone
+  // count (O(n), audit runs only). A divergence here trips a contract
+  // failure at the step that caused it instead of surfacing decisions
+  // later as a wrong ordering.
+  if (audit_allocs_) orders_.audit(alive_);
   if (audit_allocs_) audit_soa();
   if (cfg_.recorder != nullptr) {
     cfg_.recorder->record(obs::FlightEvent::kDecision, result_.decisions,
@@ -725,10 +719,10 @@ SimResult Engine::run(Scheduler& sched, ArrivalSource& source) {
       record_failure(true, 0, "contract_trip");
       throw;
     }
-    admit_pending(source);
     if (stats_ != nullptr) {
       stats_->solver_seconds += obs::monotonic_seconds() - t_section;
     }
+    admit_pending(source);
   }
 
   for (Observer* obs : observers_) obs->on_done(now_);
@@ -745,13 +739,25 @@ void Engine::begin(Scheduler& sched) {
 
 void Engine::admit(Job job) {
   PARSCHED_CHECK(streaming_, "Engine::admit() outside a streaming run");
-  if (job.release < frontier_) {
+  // Every test is written so that NaN fails it: a NaN release would
+  // never fall due (finish() would spin), an infinite size would surface
+  // much later as a SimulationStall, and a NaN weight would poison
+  // weighted_flow.
+  if (!std::isfinite(job.release)) {
+    throw std::invalid_argument("job release must be finite");
+  }
+  if (!(job.release >= frontier_)) {
     std::ostringstream os;
     os << "admission in the past: release " << job.release
        << " < frontier " << frontier_;
     throw std::invalid_argument(os.str());
   }
-  if (job.size <= 0.0) throw std::invalid_argument("nonpositive job size");
+  if (!(std::isfinite(job.size) && job.size > 0.0)) {
+    throw std::invalid_argument("job size must be finite and positive");
+  }
+  if (!(std::isfinite(job.weight) && job.weight > 0.0)) {
+    throw std::invalid_argument("job weight must be finite and positive");
+  }
   const auto it = std::upper_bound(
       pending_.begin(), pending_.end(), job.release,
       [](double r, const Job& j) { return r < j.release; });
@@ -786,16 +792,11 @@ void Engine::drain_to(double horizon) {
       record_failure(true, 0, "contract_trip");  // see run(): black-box dump
       throw;
     }
-    if (step == Step::kDeferred) {
-      if (stats_ != nullptr) {
-        stats_->solver_seconds += obs::monotonic_seconds() - t_section;
-      }
-      return;
-    }
-    release_due();
     if (stats_ != nullptr) {
       stats_->solver_seconds += obs::monotonic_seconds() - t_section;
     }
+    if (step == Step::kDeferred) return;
+    release_due();
   }
 }
 
@@ -834,9 +835,9 @@ void Engine::import_state(const EngineState& s, Scheduler& sched) {
   }
   // The config fields that enter the decision arithmetic must match the
   // donor exactly, or the continuation silently diverges bit-by-bit from
-  // the run that produced the snapshot. (use_context_cache and the
-  // profiling/guard knobs are deliberately not checked: they do not
-  // affect the computed trajectory.)
+  // the run that produced the snapshot. (The profiling/guard knobs are
+  // deliberately not checked: they do not affect the computed
+  // trajectory.)
   if (s.config.speed != cfg_.speed) {
     throw std::invalid_argument("snapshot engine speed mismatch");
   }
@@ -846,7 +847,7 @@ void Engine::import_state(const EngineState& s, Scheduler& sched) {
   if (s.config.time_tol != cfg_.time_tol) {
     throw std::invalid_argument("snapshot time_tol mismatch");
   }
-  // Unlike use_context_cache, the kernel arm changes the decision
+  // Unlike the profiling/guard knobs, the kernel arm changes the decision
   // arithmetic (exp(α·log x) vs pow), so a continuation under a
   // different arm would drift from the donor trajectory ULP-by-ULP.
   if (s.config.fast_rate_kernel != cfg_.fast_rate_kernel) {
@@ -870,12 +871,10 @@ void Engine::import_state(const EngineState& s, Scheduler& sched) {
   flow_q_.assign(alive_.size(), FlowQ{});  // memos rebuild lazily
   soa_.rebuild(alive_);
   comp_idx_.reserve(alive_.size());
-  ctx_cache_.reserve(alive_.size());
-  // The heaps are derived state: rebuild the latest-arrival heap from
-  // the restored alive set now and leave the SRPT side lazily stale —
-  // the first SRPT query regathers it, bit-identically to the donor.
-  inc_orders_.clear();
-  if (inc_on_) inc_orders_.rebuild(alive_);
+  // The orders are derived state: rebuild the latest array from the
+  // restored alive set now and leave the SRPT heap lazily stale — the
+  // first SRPT query regathers it, bit-identically to the donor.
+  orders_.rebuild(alive_);
   rates_valid_ = false;  // a deferred decision recomputes its rates once
   stats_ = nullptr;  // profiling does not continue across a restore
   run_start_ = 0.0;

@@ -46,28 +46,6 @@ struct EngineConfig {
   std::uint64_t max_decisions = 500'000'000;
   /// Check share feasibility at every decision point.
   bool validate_allocations = true;
-  /// Lend the engine-owned ContextCache to the SchedulerContext built at
-  /// each decision point, so the ordering helpers share one sort per
-  /// ordering per decision. Off, every helper call recomputes from
-  /// scratch with refimpl::'s arithmetic (in-place, buffer-reusing
-  /// twins) — bit-identical by construction and kept as
-  /// the reference arm of the differential tests. Not part of the
-  /// simulation semantics: not serialized in snapshots, not checked by
-  /// import_state().
-  bool use_context_cache = true;
-  /// Maintain the persistent IncrementalOrders heaps
-  /// (simcore/incremental.hpp) across events and serve the cache's
-  /// ordering helpers from them: O(log n) maintenance per
-  /// admit/advance/complete plus O(k log k) per query instead of an
-  /// O(n log n) rebuild every decision. Only meaningful with
-  /// use_context_cache on (the cache still owns the per-decision memo);
-  /// off, the cache falls back to its own sort/selection paths. A third
-  /// differentially-tested arm beside ContextCache and refimpl:: —
-  /// bit-identical results by construction (the tie-break comparators
-  /// are shared; tests/test_incremental.cpp is the proof). Like
-  /// use_context_cache, not part of the simulation semantics: not
-  /// serialized in snapshots, not checked by import_state().
-  bool use_incremental_orders = true;
   /// Collect per-run profiling (SimResult::stats): wall time split into
   /// policy-decide / event-solver / observer buckets plus decision-
   /// interval and alive-count histograms. Off by default — the
@@ -143,8 +121,8 @@ struct EngineState {
 ///
 /// Derived state, not simulation state: every entry is recomputable
 /// from `alive_` (alloc/rate from the current decision's shares), so —
-/// like the ContextCache and the IncrementalOrders heaps — none of it
-/// appears in EngineState; import_state() rebuilds it. All vectors are
+/// like the IncrementalOrders — none of it appears in EngineState;
+/// import_state() rebuilds it. All vectors are
 /// pre-reserved at admission (geometric growth, outside the AllocGuard
 /// fences), so warm decision steps stay allocation-free with the SoA
 /// arrays exactly as they were without them. PARSCHED_AUDIT=1 re-checks
@@ -203,9 +181,10 @@ class Engine final : public EngineView {
   /// Abandons any run in progress.
   void begin(Scheduler& sched);
 
-  /// Hand the engine a future arrival. Requires an active streaming run
-  /// and job.release >= frontier(); throws std::invalid_argument
-  /// otherwise. Jobs may be admitted arbitrarily far ahead of time.
+  /// Hand the engine a future arrival. Requires an active streaming run,
+  /// a finite job.release >= frontier(), and a finite positive size and
+  /// weight; throws std::invalid_argument otherwise (NaN included). Jobs
+  /// may be admitted arbitrarily far ahead of time.
   void admit(Job job);
 
   /// Simulate every event up to and including time t (given the admit()
@@ -310,16 +289,13 @@ class Engine final : public EngineView {
   /// compute_rates() overwrites both, and their values for a *deferred*
   /// decision stay frozen with it (the rates_valid_ protocol below).
   AliveSoA soa_;
-  ContextCache ctx_cache_;
-  /// Persistent ordering heaps (the incremental arm). Unlike the rest of
-  /// this scratch block the heaps carry state *across* decision steps —
-  /// but still derived state: every key is recomputable from alive_, and
-  /// import_state()/begin_run() rebuild them, so they stay out of
-  /// EngineState like the cache. Maintained and queried only when
-  /// inc_on_ (use_context_cache && use_incremental_orders, fixed at
-  /// construction).
-  IncrementalOrders inc_orders_;
-  bool inc_on_ = false;
+  /// The ordering module (simcore/incremental.hpp): both policy orders,
+  /// kept across decision steps, plus the per-decision answer memo.
+  /// Unlike the rest of this scratch block it carries state *across*
+  /// steps — but still derived state: every key is recomputable from
+  /// alive_, and import_state()/begin_run() rebuild it, so it stays out
+  /// of EngineState.
+  IncrementalOrders orders_;
   /// Jobs with a nonzero rate in the current decision (set by
   /// compute_rates): the advance sweep uses it to pick between per-job
   /// O(log n) heap updates and one lazy-decay epoch when most keys move
@@ -329,7 +305,7 @@ class Engine final : public EngineView {
   std::vector<std::size_t> comp_idx_;  // this step's completed positions, asc
   /// Per-job fast-path memo for the advance loop, index-aligned with
   /// alive_ (appended on admission, swapped on removal, reset on
-  /// import_state). `q` memoizes the flow-integral quotient 0.5*(r+r)/size
+  /// import_state). `q` caches the flow-integral quotient 0.5*(r+r)/size
   /// for the job's current remaining work r — the rate-0 advance arm's
   /// division result, reusable verbatim because r only changes in the
   /// full arm, which refreshes q eagerly. A job with `needs_full` set

@@ -115,63 +115,88 @@ void grow(V& v, std::size_t n) {
   if (v.capacity() < n) v.reserve(std::max(n, v.capacity() * 2));
 }
 
+/// (release, id) ascending: the latest array's storage order, the
+/// reverse of LatestKeyLess.
+bool latest_asc(const LatestKey& a, const LatestKey& b) {
+  return LatestKeyLess{}(b, a);
+}
+
 }  // namespace
 
 void IncrementalOrders::clear() {
   srpt_.clear();
-  latest_.clear();
   srpt_pos_.clear();
-  latest_pos_.clear();
   cand_.clear();
   srpt_stale_ = true;
   decay_epochs_ = 0;
+  latest_.clear();
+  latest_pos_.clear();
+  latest_dead_ = 0;
+  forget();
 }
 
 void IncrementalOrders::reserve(std::size_t n) {
   grow(srpt_, n);
-  grow(latest_, n);
   grow(srpt_pos_, n);
-  grow(latest_pos_, n);
   grow(cand_, n + 1);  // traversal holds at most want+1 live candidates
   grow(srpt_scratch_, n);
-  grow(latest_scratch_, n);
+  grow(latest_, n);
+  grow(latest_pos_, n);
+  grow(srpt_order_, n);
+  grow(latest_order_, n);
 }
 
 void IncrementalOrders::rebuild(std::span<const AliveJob> alive) {
   const std::size_t n = alive.size();
+  clear();
   reserve(n);
-  latest_.resize(n);
-  latest_pos_.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
-    latest_[i] =
-        LatestEntry{alive[i].release, alive[i].id, static_cast<std::uint32_t>(i)};
-    latest_pos_[i] = static_cast<std::uint32_t>(i);
+    latest_.push_back(LatestKey{alive[i].release, alive[i].id,
+                                static_cast<std::uint32_t>(i)});
   }
-  heapify(latest_, latest_pos_, LatestKeyLess{});
-  srpt_.clear();
-  srpt_pos_.clear();
-  srpt_stale_ = true;  // regathered from the alive set at the next query
+  std::sort(latest_.begin(), latest_.end(), latest_asc);
+  latest_pos_.resize(n);
+  for (std::size_t s = 0; s < n; ++s) {
+    latest_pos_[latest_[s].idx] = static_cast<std::uint32_t>(s);
+  }
+  forget();
 }
 
 PARSCHED_HOT void IncrementalOrders::insert(const AliveJob& job,
                                             std::size_t idx) {
-  PARSCHED_CHECK(idx == latest_.size(),
+  PARSCHED_CHECK(idx == latest_pos_.size(),
                  "IncrementalOrders::insert out of step with the alive set");
-  latest_pos_.push_back(static_cast<std::uint32_t>(latest_.size()));
-  latest_.push_back(
-      LatestEntry{job.release, job.id, static_cast<std::uint32_t>(idx)});
-  sift_up(latest_, latest_pos_, latest_.size() - 1, LatestKeyLess{});
+  const LatestKey key{job.release, job.id, static_cast<std::uint32_t>(idx)};
+  if (latest_.empty() || latest_asc(latest_.back(), key)) {
+    latest_pos_.push_back(static_cast<std::uint32_t>(latest_.size()));
+    latest_.push_back(key);
+  } else {
+    // A tie or an out-of-order admission: insert in place and renumber
+    // the shifted tail.
+    const auto it =
+        std::upper_bound(latest_.begin(), latest_.end(), key, latest_asc);
+    const auto s = static_cast<std::size_t>(it - latest_.begin());
+    latest_pos_.push_back(0);
+    latest_.insert(it, key);
+    for (std::size_t t = s; t < latest_.size(); ++t) {
+      if (latest_[t].idx != kDead) {
+        latest_pos_[latest_[t].idx] = static_cast<std::uint32_t>(t);
+      }
+    }
+  }
   if (!srpt_stale_) {
     srpt_pos_.push_back(static_cast<std::uint32_t>(srpt_.size()));
-    srpt_.push_back(SrptEntry{job.remaining, job.release, job.id,
-                              static_cast<std::uint32_t>(idx)});
+    srpt_.push_back(SrptKey{job.remaining, job.release, job.id,
+                            static_cast<std::uint32_t>(idx)});
     sift_up(srpt_, srpt_pos_, srpt_.size() - 1, SrptKeyLess{});
   }
+  forget();
 }
 
 PARSCHED_HOT void IncrementalOrders::update_remaining(std::size_t idx,
                                                       double remaining) {
   if (srpt_stale_) return;  // the pending rebuild re-reads every key
+  srpt_len_ = 0;
   const std::size_t s = srpt_pos_[idx];
   srpt_[s].remaining = remaining;
   reheap(srpt_, srpt_pos_, s, SrptKeyLess{});
@@ -179,13 +204,19 @@ PARSCHED_HOT void IncrementalOrders::update_remaining(std::size_t idx,
 
 PARSCHED_HOT void IncrementalOrders::remove_swap(std::size_t idx,
                                                  std::size_t last) {
-  erase_slot(latest_, latest_pos_, latest_pos_[idx], LatestKeyLess{});
+  latest_[latest_pos_[idx]].idx = kDead;
+  ++latest_dead_;
   if (idx != last) {
     const std::uint32_t s = latest_pos_[last];
     latest_[s].idx = static_cast<std::uint32_t>(idx);
     latest_pos_[idx] = s;
   }
   latest_pos_.pop_back();
+  while (!latest_.empty() && latest_.back().idx == kDead) {
+    latest_.pop_back();
+    --latest_dead_;
+  }
+  if (latest_dead_ > latest_pos_.size()) compact_latest();
   if (!srpt_stale_) {
     erase_slot(srpt_, srpt_pos_, srpt_pos_[idx], SrptKeyLess{});
     if (idx != last) {
@@ -195,20 +226,35 @@ PARSCHED_HOT void IncrementalOrders::remove_swap(std::size_t idx,
     }
     srpt_pos_.pop_back();
   }
+  forget();
+}
+
+void IncrementalOrders::compact_latest() {
+  // Amortized O(1) per completion: runs only once the tombstones
+  // outnumber the live entries, and costs O(live + dead).
+  std::size_t w = 0;
+  for (const LatestKey& e : latest_) {
+    if (e.idx == kDead) continue;
+    latest_[w] = e;
+    latest_pos_[e.idx] = static_cast<std::uint32_t>(w);
+    ++w;
+  }
+  latest_.resize(w);
+  latest_dead_ = 0;
 }
 
 PARSCHED_HOT void IncrementalOrders::ensure_srpt_fresh(
     std::span<const AliveJob> alive) {
   if (!srpt_stale_) return;
   const std::size_t n = alive.size();
-  PARSCHED_CHECK(n == latest_.size(),
+  PARSCHED_CHECK(n == size(),
                  "IncrementalOrders out of step with the alive set");
   srpt_.resize(n);
   srpt_pos_.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
     const AliveJob& j = alive[i];
-    srpt_[i] = SrptEntry{j.remaining, j.release, j.id,
-                         static_cast<std::uint32_t>(i)};
+    srpt_[i] = SrptKey{j.remaining, j.release, j.id,
+                       static_cast<std::uint32_t>(i)};
     srpt_pos_[i] = static_cast<std::uint32_t>(i);
   }
   heapify(srpt_, srpt_pos_, SrptKeyLess{});
@@ -218,75 +264,94 @@ PARSCHED_HOT void IncrementalOrders::ensure_srpt_fresh(
 PARSCHED_HOT std::size_t IncrementalOrders::min_srpt(
     std::span<const AliveJob> alive) {
   ensure_srpt_fresh(alive);
-  PARSCHED_CHECK(!srpt_.empty(), "min_srpt over an empty alive set");
+  PARSCHED_CHECK(!srpt_.empty(), "min_remaining over an empty alive set");
   return srpt_[0].idx;
 }
 
-PARSCHED_HOT void IncrementalOrders::fill_srpt(std::span<const AliveJob> alive,
-                                               std::size_t want,
-                                               std::size_t* out) {
+PARSCHED_HOT std::span<const std::size_t> IncrementalOrders::srpt_prefix(
+    std::span<const AliveJob> alive, std::size_t k) {
+  const std::size_t n = alive.size();
+  const std::size_t want = std::min(k, n);
+  if (want <= srpt_len_) return {srpt_order_.data(), want};
   ensure_srpt_fresh(alive);
-  const std::size_t n = srpt_.size();
-  if (want > n) want = n;
+  srpt_order_.resize(n);
   if (want < n) {
-    fill_topk(srpt_, cand_, want, out, SrptKeyLess{});
-    return;
+    // The heap-slot traversal rewrites the remembered prefix with the same
+    // entries (the order is a strict total order), so earlier spans keep
+    // their contents.
+    fill_topk(srpt_, cand_, want, srpt_order_.data(), SrptKeyLess{});
+  } else {
+    // Full order: sort a compact copy of the keys (the heap itself must
+    // keep its shape).
+    srpt_scratch_.assign(srpt_.begin(), srpt_.end());
+    std::sort(srpt_scratch_.begin(), srpt_scratch_.end(), SrptKeyLess{});
+    for (std::size_t i = 0; i < n; ++i) srpt_order_[i] = srpt_scratch_[i].idx;
   }
-  // Full order: sort a compact copy of the keys (the heap itself must
-  // keep its shape). Cheaper than the cache arm's path by the gather —
-  // the keys are already collected.
-  srpt_scratch_.assign(srpt_.begin(), srpt_.end());
-  std::sort(srpt_scratch_.begin(), srpt_scratch_.end(), SrptKeyLess{});
-  for (std::size_t i = 0; i < n; ++i) out[i] = srpt_scratch_[i].idx;
+  srpt_len_ = want;
+  return {srpt_order_.data(), want};
 }
 
-PARSCHED_HOT void IncrementalOrders::fill_latest(std::size_t want,
-                                                 std::size_t* out) {
-  const std::size_t n = latest_.size();
-  if (want > n) want = n;
-  if (want < n) {
-    fill_topk(latest_, cand_, want, out, LatestKeyLess{});
-    return;
+PARSCHED_HOT std::span<const std::size_t> IncrementalOrders::latest_prefix(
+    std::size_t k) {
+  const std::size_t want = std::min(k, size());
+  latest_order_.resize(size());
+  // Resume the walk from the back where the remembered prefix stopped,
+  // skipping tombstones.
+  while (latest_len_ < want) {
+    const std::uint32_t idx = latest_[--latest_cursor_].idx;
+    if (idx != kDead) latest_order_[latest_len_++] = idx;
   }
-  latest_scratch_.assign(latest_.begin(), latest_.end());
-  std::sort(latest_scratch_.begin(), latest_scratch_.end(), LatestKeyLess{});
-  for (std::size_t i = 0; i < n; ++i) out[i] = latest_scratch_[i].idx;
+  return {latest_order_.data(), want};
 }
 
 void IncrementalOrders::audit(std::span<const AliveJob> alive) const {
   const std::size_t n = alive.size();
-  PARSCHED_CHECK(latest_.size() == n && latest_pos_.size() == n,
-                 "incremental audit: latest heap size mismatch");
-  const LatestKeyLess lless{};
-  for (std::size_t s = 0; s < n; ++s) {
-    const LatestEntry& e = latest_[s];
-    PARSCHED_CHECK(e.idx < n, "incremental audit: latest idx out of range");
+  PARSCHED_CHECK(latest_pos_.size() == n,
+                 "ordering audit: latest position map size mismatch");
+  std::size_t live = 0;
+  std::size_t dead = 0;
+  for (std::size_t s = 0; s < latest_.size(); ++s) {
+    const LatestKey& e = latest_[s];
+    if (s > 0) {
+      PARSCHED_CHECK(!latest_asc(e, latest_[s - 1]),
+                     "ordering audit: latest array not sorted");
+    }
+    if (e.idx == kDead) {
+      ++dead;
+      continue;
+    }
+    PARSCHED_CHECK(e.idx < n, "ordering audit: latest idx out of range");
     const AliveJob& j = alive[e.idx];
     PARSCHED_CHECK(e.release == j.release && e.id == j.id,
-                   "incremental audit: latest key diverged from alive job");
+                   "ordering audit: latest key diverged from alive job");
     PARSCHED_CHECK(latest_pos_[e.idx] == s,
-                   "incremental audit: latest position map inconsistent");
-    if (s > 0) {
-      PARSCHED_CHECK(!lless(e, latest_[(s - 1) / 2]),
-                     "incremental audit: latest heap property violated");
-    }
+                   "ordering audit: latest position map inconsistent");
+    ++live;
   }
+  // n live entries, each the image of its own alive index: a bijection.
+  PARSCHED_CHECK(live == n, "ordering audit: latest live count mismatch");
+  PARSCHED_CHECK(dead == latest_dead_,
+                 "ordering audit: latest tombstone count mismatch");
+  PARSCHED_CHECK(latest_.empty() || latest_.back().idx != kDead,
+                 "ordering audit: trailing latest tombstone");
+  PARSCHED_CHECK(latest_dead_ <= n,
+                 "ordering audit: latest tombstones left uncompacted");
   if (srpt_stale_) return;  // keys pending a lazy regather carry no claim
   PARSCHED_CHECK(srpt_.size() == n && srpt_pos_.size() == n,
-                 "incremental audit: srpt heap size mismatch");
+                 "ordering audit: srpt heap size mismatch");
   const SrptKeyLess sless{};
   for (std::size_t s = 0; s < n; ++s) {
-    const SrptEntry& e = srpt_[s];
-    PARSCHED_CHECK(e.idx < n, "incremental audit: srpt idx out of range");
+    const SrptKey& e = srpt_[s];
+    PARSCHED_CHECK(e.idx < n, "ordering audit: srpt idx out of range");
     const AliveJob& j = alive[e.idx];
     PARSCHED_CHECK(e.remaining == j.remaining && e.release == j.release &&
                        e.id == j.id,
-                   "incremental audit: srpt key diverged from alive job");
+                   "ordering audit: srpt key diverged from alive job");
     PARSCHED_CHECK(srpt_pos_[e.idx] == s,
-                   "incremental audit: srpt position map inconsistent");
+                   "ordering audit: srpt position map inconsistent");
     if (s > 0) {
       PARSCHED_CHECK(!sless(e, srpt_[(s - 1) / 2]),
-                     "incremental audit: srpt heap property violated");
+                     "ordering audit: srpt heap property violated");
     }
   }
 }

@@ -54,12 +54,11 @@ def report():
             },
             {
                 "name": "incremental_orders",
-                "columns": ["n", "decisions", "decisions_per_sec_rebuild",
-                            "decisions_per_sec_incremental",
-                            "decide_speedup"],
+                "columns": ["n", "decisions",
+                            "decisions_per_sec_incremental"],
                 "rows": [
-                    [100000, 320, 800.0, 1600.0, 16.0],
-                    [1000000, 48, 40.0, 85.0, 12.0],
+                    [100000, 320, 1600.0],
+                    [1000000, 48, 85.0],
                 ],
             },
             {
@@ -114,9 +113,9 @@ def report():
 def scale_rates(doc, factor):
     """Uniform machine-speed change: rates and latencies move together.
 
-    decide_speedup stays fixed — a paired same-machine ratio does not
-    move with machine speed, which is exactly why it must be gated by an
-    absolute floor and not a relative (auto-scaled) band.
+    The rate-kernel speedups stay fixed — a paired same-machine ratio
+    does not move with machine speed, which is exactly why it must be
+    gated by an absolute floor and not a relative (auto-scaled) band.
     """
     for t in doc["tables"]:
         if t["name"] == "dense_alive":
@@ -124,11 +123,9 @@ def scale_rates(doc, factor):
             for row in t["rows"]:
                 row[i] *= factor
         if t["name"] == "incremental_orders":
-            for col in ("decisions_per_sec_rebuild",
-                        "decisions_per_sec_incremental"):
-                i = t["columns"].index(col)
-                for row in t["rows"]:
-                    row[i] *= factor
+            i = t["columns"].index("decisions_per_sec_incremental")
+            for row in t["rows"]:
+                row[i] *= factor
         if t["name"] == "client_latency":
             for col in ("mean_ms", "p50_ms", "p95_ms", "p99_ms"):
                 i = t["columns"].index(col)
@@ -210,19 +207,11 @@ def main() -> int:
         return doc
 
     def incremental_rate_regressed(doc):
-        # The incremental arm's decision rate drops 30% while every
+        # The persistent orders' decision rate drops 30% while every
         # sibling gate holds — must fail even under calibration.
         t = doc["tables"][2]
         i = t["columns"].index("decisions_per_sec_incremental")
         t["rows"][0][i] *= 0.7
-        return doc
-
-    def decide_speedup_floor_broken(doc):
-        # The paired decide-phase ratio falls below the 5x acceptance
-        # floor: an absolute candidate-only verdict, like overhead_pct.
-        t = doc["tables"][2]
-        i = t["columns"].index("decide_speedup")
-        t["rows"][0][i] = 3.4
         return doc
 
     def cluster_throughput_regressed(doc):
@@ -275,6 +264,9 @@ def main() -> int:
          ["--auto-scale"], 1),
         ("kernel_shared_floor_broken", kernel_shared_floor_broken,
          ["--auto-scale"], 1),
+        # The floor is candidate-only: no tolerance band loosens it.
+        ("kernel_shared_floor_loose_tolerance", kernel_shared_floor_broken,
+         ["--tolerance=0.99"], 1),
         ("kernel_mixed_below_two", kernel_mixed_below_two,
          ["--auto-scale"], 0),
         ("regressed_one_gate", regressed_one_gate, ["--auto-scale"], 1),
@@ -288,12 +280,6 @@ def main() -> int:
         ("p99_spike_loose", p99_spike, ["--tolerance=0.60"], 0),
         ("incremental_rate_regressed", incremental_rate_regressed,
          ["--auto-scale"], 1),
-        ("decide_speedup_floor_broken", decide_speedup_floor_broken,
-         ["--auto-scale"], 1),
-        # The floor is candidate-only: a *baseline* whose speedup column
-        # later improves must not be read as a regression band.
-        ("decide_speedup_floor_loose_tolerance",
-         decide_speedup_floor_broken, ["--tolerance=0.99"], 1),
         ("cluster_throughput_regressed", cluster_throughput_regressed,
          ["--auto-scale"], 1),
         ("cluster_throughput_regressed_raw", cluster_throughput_regressed,

@@ -2,14 +2,15 @@
 // verifier — and the engine's PARSCHED_AUDIT=1 fences around its decision
 // steps.
 //
-// The final tests are the PR's regression proof: a dense-alive
+// The final tests are the engine's regression proof: a dense-alive
 // n=10'000 instance driven to completion with the audit fences armed
 // performs zero heap allocations across >= 10'000 warm decision steps —
-// across every engine arm: the persistent IncrementalOrders heaps, the
-// ContextCache sort paths (incremental off), and the refimpl-twin
-// fallback path (use_context_cache = false). The incremental runs also
-// execute the engine-side heap audit (IncrementalOrders::audit) at every
-// decision, so heap-vs-alive consistency is checked 10'000 times per run.
+// for a policy on each query path of the ordering module: SRPT prefixes
+// from the heap, the SRPT minimum, latest-arrival prefixes from the
+// release-ordered array (with its tombstones and compaction), and full
+// orders from the per-decision memo. Every run also executes the
+// engine-side audit (IncrementalOrders::audit) at every decision, so
+// orders-vs-alive consistency is checked 10'000 times per run.
 //
 // Every allocation-counting test skips itself when the counting operator
 // new/delete replacement is compiled out (PARSCHED_ALLOC_HOOK=OFF, e.g.
@@ -228,19 +229,19 @@ Instance dense_alive_instance(std::size_t n) {
 /// Drives the dense-alive instance to completion with the audit fences
 /// armed; any allocation in a warm decision step throws ContractViolation
 /// and fails the test. Returns the number of guarded scopes entered.
-std::uint64_t run_audited(bool use_cache, bool use_incremental,
-                          bool fast_kernel = false) {
+/// `jobs` defaults to 10'000; policies that complete several jobs in one
+/// step need more to reach 10'000 decisions.
+std::uint64_t run_audited(const char* policy, bool fast_kernel = false,
+                          std::size_t jobs = 10'000) {
   setenv("PARSCHED_AUDIT", "1", 1);
   const std::uint64_t scopes_before = alloc_guard_scopes_entered();
-  const Instance inst = dense_alive_instance(10'000);
-  auto sched = make_scheduler("isrpt");
+  const Instance inst = dense_alive_instance(jobs);
+  auto sched = make_scheduler(policy);
   EngineConfig cfg;
-  cfg.use_context_cache = use_cache;
-  cfg.use_incremental_orders = use_incremental;
   cfg.fast_rate_kernel = fast_kernel;
   const SimResult r = simulate(inst, *sched, cfg);
   unsetenv("PARSCHED_AUDIT");
-  EXPECT_EQ(r.jobs(), 10'000u);
+  EXPECT_EQ(r.jobs(), jobs);
   // Every completion is a decision point: >= 10k decision steps, and all
   // but the first (which warms the scratch at full n) run fenced — two
   // guarded scopes each (allocate+rates, advance sweep).
@@ -250,25 +251,29 @@ std::uint64_t run_audited(bool use_cache, bool use_incremental,
 
 TEST(EngineAllocAudit, DenseAliveRunIsAllocationFreeWithIncrementalOrders) {
   SKIP_WITHOUT_HOOK();
-  // Heap maintenance (insert / update_remaining / remove_swap / lazy
-  // rebuilds) runs inside the fences: all of it must live in storage
-  // pre-paid by IncrementalOrders::reserve at admission.
-  const std::uint64_t scopes = run_audited(/*use_cache=*/true,
-                                           /*use_incremental=*/true);
+  // ISRPT's smallest_remaining(m): SRPT heap maintenance (insert /
+  // update_remaining / remove_swap / lazy rebuilds) and top-k traversal
+  // run inside the fences, all in storage pre-paid at admission.
+  const std::uint64_t scopes = run_audited("isrpt");
   EXPECT_GE(scopes, 10'000u);
 }
 
 TEST(EngineAllocAudit, DenseAliveRunIsAllocationFreeWithContextCache) {
   SKIP_WITHOUT_HOOK();
-  const std::uint64_t scopes = run_audited(/*use_cache=*/true,
-                                           /*use_incremental=*/false);
+  // quantized-equi's by_latest_arrival(): the full order lands in the
+  // per-decision memo's result buffer, and its dense allocations declare
+  // a decay epoch every step.
+  const std::uint64_t scopes =
+      run_audited("quantized-equi:0.5", /*fast_kernel=*/false, 12'000);
   EXPECT_GE(scopes, 10'000u);
 }
 
 TEST(EngineAllocAudit, DenseAliveRunIsAllocationFreeWithFallbackPath) {
   SKIP_WITHOUT_HOOK();
-  const std::uint64_t scopes = run_audited(/*use_cache=*/false,
-                                           /*use_incremental=*/false);
+  // LAPS's latest_arrivals(n/2): a k-prefix walk of the latest array,
+  // whose completions leave tombstones that compaction later reclaims.
+  const std::uint64_t scopes =
+      run_audited("laps:0.5", /*fast_kernel=*/false, 12'000);
   EXPECT_GE(scopes, 10'000u);
 }
 
@@ -278,19 +283,15 @@ TEST(EngineAllocAudit, DenseAliveRunIsAllocationFreeWithFastRateKernel) {
   // SoA arrays as the default arm — its memo is three stack doubles, so
   // the fenced decision steps stay allocation-free. (PARSCHED_AUDIT=1
   // also cross-checks the SoA mirror against alive_ every decision.)
-  const std::uint64_t scopes = run_audited(/*use_cache=*/true,
-                                           /*use_incremental=*/true,
-                                           /*fast_kernel=*/true);
+  const std::uint64_t scopes = run_audited("isrpt", /*fast_kernel=*/true);
   EXPECT_GE(scopes, 10'000u);
 }
 
 TEST(EngineAllocAudit, IncrementalFlagIsInertWithoutContextCache) {
   SKIP_WITHOUT_HOOK();
-  // use_incremental_orders without use_context_cache must gate off
-  // cleanly (the heaps need the cache's memo to serve queries from):
-  // the run takes the refimpl fallback path and stays allocation-free.
-  const std::uint64_t scopes = run_audited(/*use_cache=*/false,
-                                           /*use_incremental=*/true);
+  // par-srpt's min_remaining(): the SRPT heap root, the one query that
+  // leaves the per-decision result buffers untouched.
+  const std::uint64_t scopes = run_audited("par-srpt");
   EXPECT_GE(scopes, 10'000u);
 }
 

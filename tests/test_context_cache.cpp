@@ -1,14 +1,14 @@
-// Differential tests for the memoized SchedulerContext ordering cache
-// (PR 5's engine hot-path overhaul).
+// Differential tests for the SchedulerContext ordering helpers and the
+// per-decision answer memo of the engine's ordering module.
 //
-// The contract under test: EngineConfig::use_context_cache — and every
-// optimization stacked behind it (flat-key sorts, bounded-heap top-k
-// selection, prefix upgrades, the engine's reusable scratch buffers,
-// the FlowQ fast advance arm, and the sparse completion sweep) — is
-// pure mechanism. Every simulation a policy can observe must be
-// double-for-double identical to the reference path, which routes all
-// ordering helpers through refimpl:: (the original per-call iota +
-// sort / nth_element code, kept verbatim for exactly this purpose).
+// The contract under test: the IncrementalOrders behind every
+// SchedulerContext — persistent orders, the per-decision memo with its
+// prefix extension, the engine's reusable scratch buffers, the FlowQ fast
+// advance arm and the sparse completion sweep — is pure mechanism. Every
+// ordering answer must equal the oracle's (tests/simcore/ordering_oracle.hpp:
+// per-call iota + sort / nth_element), and a run whose every answer is
+// checked against the oracle must be double-for-double identical to the
+// production run.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,6 +19,8 @@
 
 #include "sched/registry.hpp"
 #include "simcore/engine.hpp"
+#include "simcore/incremental.hpp"
+#include "simcore/ordering_oracle.hpp"  // tests/simcore/: the oracle
 #include "simcore/scheduler.hpp"
 #include "workload/random.hpp"
 
@@ -26,7 +28,7 @@ namespace parsched {
 namespace {
 
 // Every registry family, parameterized variants included, so each
-// helper's cached path is exercised by a policy that actually calls it
+// helper is exercised by a policy that actually calls it
 // (smallest_remaining: the SRPT family; latest_arrivals: LAPS;
 // by_latest_arrival: quantized-equi; min_remaining: par-srpt;
 // by_remaining: mlf / wisrpt / setf / the opt searchers).
@@ -54,24 +56,33 @@ void expect_bit_identical(const SimResult& a, const SimResult& b,
   }
 }
 
-SimResult run_with_cache(const Instance& inst, const std::string& policy,
-                         bool use_cache) {
+SimResult run_production(const Instance& inst, const std::string& policy) {
   auto sched = make_scheduler(policy);
-  EngineConfig cfg;
-  cfg.use_context_cache = use_cache;
-  return simulate(inst, *sched, cfg);
+  return simulate(inst, *sched);
 }
 
-// PR 8 added a third arm: the persistent IncrementalOrders heaps behind
-// use_incremental_orders (default on — the cached runs above already
-// exercise them). This helper names all three arms explicitly.
-SimResult run_engine_arm(const Instance& inst, const std::string& policy,
-                         bool use_cache, bool use_incremental) {
-  auto sched = make_scheduler(policy);
-  EngineConfig cfg;
-  cfg.use_context_cache = use_cache;
-  cfg.use_incremental_orders = use_incremental;
-  return simulate(inst, *sched, cfg);
+/// The same run with every ordering answer of every decision checked
+/// against the oracle.
+SimResult run_oracle_checked(const Instance& inst, const std::string& policy,
+                             const std::string& what) {
+  refimpl::OracleCheckedScheduler sched(make_scheduler(policy));
+  SimResult r = simulate(inst, sched);
+  EXPECT_EQ(sched.first_mismatch(), "") << what;
+  EXPECT_EQ(sched.checked(), r.decisions) << what;
+  return r;
+}
+
+/// Admit every job up front and finish: the streaming path over the same
+/// decision steps, oracle-checked.
+SimResult run_streamed_checked(const Instance& inst, const std::string& policy,
+                               const std::string& what) {
+  refimpl::OracleCheckedScheduler sched(make_scheduler(policy));
+  Engine eng(inst.machines());
+  eng.begin(sched);
+  for (const Job& j : inst.jobs()) eng.admit(j);
+  SimResult r = eng.finish();
+  EXPECT_EQ(sched.first_mismatch(), "") << what;
+  return r;
 }
 
 // E1-style grid: fixed alpha = 0.5, critically loaded.
@@ -105,10 +116,10 @@ TEST(ContextCacheDifferential, AllPoliciesBitIdenticalOnE1Grid) {
   for (const std::uint64_t seed : {1u, 7u}) {
     const Instance inst = make_random_instance(e1_config(seed));
     for (const char* policy : kAllPolicies) {
-      expect_bit_identical(
-          run_with_cache(inst, policy, true),
-          run_with_cache(inst, policy, false),
-          std::string(policy) + " seed=" + std::to_string(seed));
+      const std::string what =
+          std::string(policy) + " seed=" + std::to_string(seed);
+      expect_bit_identical(run_production(inst, policy),
+                           run_oracle_checked(inst, policy, what), what);
     }
   }
 }
@@ -117,70 +128,62 @@ TEST(ContextCacheDifferential, AllPoliciesBitIdenticalOnE5Grid) {
   for (const std::uint64_t seed : {3u, 11u}) {
     const Instance inst = make_random_instance(e5_config(seed));
     for (const char* policy : kAllPolicies) {
-      expect_bit_identical(
-          run_with_cache(inst, policy, true),
-          run_with_cache(inst, policy, false),
-          std::string(policy) + " seed=" + std::to_string(seed));
+      const std::string what =
+          std::string(policy) + " seed=" + std::to_string(seed);
+      expect_bit_identical(run_production(inst, policy),
+                           run_oracle_checked(inst, policy, what), what);
     }
   }
 }
 
-// Explicit three-arm sweep on both experiment grids: the incremental
-// heaps and the cache-only sort paths must each match the refimpl arm
-// for every policy family. (The E1/E5 tests above pin incremental-on vs
-// refimpl via the defaults; this one also pins incremental-off, so a
-// regression in either non-reference arm is named directly.)
+// Every way of driving one instance on both experiment grids — the batch
+// production run, the oracle-checked batch run and the oracle-checked
+// streaming run — must agree for every policy family.
 TEST(ContextCacheDifferential, IncrementalSweepAllArmsAgreeOnBothGrids) {
   for (const bool on_e1 : {true, false}) {
     const Instance inst = on_e1 ? make_random_instance(e1_config(21))
                                 : make_random_instance(e5_config(22));
     for (const char* policy : kAllPolicies) {
       const std::string what = std::string(on_e1 ? "E1 " : "E5 ") + policy;
-      const SimResult ref = run_engine_arm(inst, policy, false, false);
-      expect_bit_identical(run_engine_arm(inst, policy, true, true), ref,
-                           what + " incremental arm");
-      expect_bit_identical(run_engine_arm(inst, policy, true, false), ref,
-                           what + " cache-only arm");
+      const SimResult ref = run_production(inst, policy);
+      expect_bit_identical(run_oracle_checked(inst, policy, what), ref,
+                           what + " oracle-checked batch");
+      expect_bit_identical(run_streamed_checked(inst, policy, what), ref,
+                           what + " oracle-checked streaming");
     }
   }
 }
 
 // The serve/-facing streaming path runs the same decision_step; drive it
-// with incremental admission + advances and compare against the batch
-// reference arm. Covers the deferred-allocation resume path (advances
-// that split between events) on both sides of the cache switch, with the
-// incremental heaps on and off (deferral parks a decision mid-step, so
-// heap maintenance must straddle the park/resume boundary correctly).
+// with incremental admission + ragged advances, every ordering answer
+// oracle-checked, and compare against the batch production run. Covers
+// the deferred-allocation resume path (advances that split between
+// events): order maintenance must straddle the park/resume boundary.
 TEST(ContextCacheDifferential, StreamingMatchesUncachedBatch) {
   const Instance inst = make_random_instance(e1_config(5));
   for (const char* policy : {"isrpt", "laps:0.5", "quantized-equi:0.5"}) {
-    const SimResult ref = run_with_cache(inst, policy, false);
-
-    for (const bool use_incremental : {true, false}) {
-      auto sched = make_scheduler(policy);
-      EngineConfig cfg;  // cache on by default
-      cfg.use_incremental_orders = use_incremental;
-      Engine eng(inst.machines(), cfg);
-      eng.begin(*sched);
-      double t = 0.0;
-      for (const Job& j : inst.jobs()) {
-        eng.admit(j);
-        // Ragged advances: some land between arrivals, some batch up.
-        if ((j.id % 3) == 0) {
-          t = std::max(t, j.release * 0.75);
-          eng.advance_to(t);
-        }
+    const SimResult ref = run_production(inst, policy);
+    refimpl::OracleCheckedScheduler sched(make_scheduler(policy));
+    Engine eng(inst.machines());
+    eng.begin(sched);
+    double t = 0.0;
+    for (const Job& j : inst.jobs()) {
+      eng.admit(j);
+      // Ragged advances: some land between arrivals, some batch up.
+      if ((j.id % 3) == 0) {
+        t = std::max(t, j.release * 0.75);
+        eng.advance_to(t);
       }
-      const SimResult streamed = eng.finish();
-      expect_bit_identical(streamed, ref,
-                           std::string("streaming ") + policy +
-                               (use_incremental ? " inc-on" : " inc-off"));
     }
+    const SimResult streamed = eng.finish();
+    EXPECT_EQ(sched.first_mismatch(), "") << policy;
+    expect_bit_identical(streamed, ref, std::string("streaming ") + policy);
   }
 }
 
 // Multi-phase jobs change curves mid-run (and exercise the phase-advance
-// path next to the completion detection); the cache must not disturb it.
+// path next to the completion detection); the oracle check must not
+// disturb it.
 TEST(ContextCacheDifferential, PhasedJobsBitIdentical) {
   std::vector<Job> jobs;
   for (int i = 0; i < 12; ++i) {
@@ -192,9 +195,9 @@ TEST(ContextCacheDifferential, PhasedJobsBitIdentical) {
   }
   const Instance inst(4, jobs);
   for (const char* policy : {"isrpt", "equi", "greedy"}) {
-    expect_bit_identical(run_with_cache(inst, policy, true),
-                         run_with_cache(inst, policy, false),
-                         std::string("phased ") + policy);
+    const std::string what = std::string("phased ") + policy;
+    expect_bit_identical(run_production(inst, policy),
+                         run_oracle_checked(inst, policy, what), what);
   }
 }
 
@@ -221,10 +224,14 @@ std::vector<AliveJob> random_alive(std::mt19937_64& rng, std::size_t n) {
 void expect_span_eq(std::span<const std::size_t> got,
                     const std::vector<std::size_t>& want,
                     const std::string& what) {
-  ASSERT_EQ(got.size(), want.size()) << what;
-  for (std::size_t i = 0; i < want.size(); ++i) {
-    EXPECT_EQ(got[i], want[i]) << what << " position " << i;
-  }
+  EXPECT_EQ(refimpl::span_mismatch(got, want), "") << what;
+}
+
+/// The orders behind a context built by hand: filled with rebuild(alive).
+IncrementalOrders orders_for(const std::vector<AliveJob>& alive) {
+  IncrementalOrders orders;
+  orders.rebuild(alive);
+  return orders;
 }
 
 TEST(ContextCacheHelpers, AllHelpersMatchRefimplAcrossKs) {
@@ -236,50 +243,44 @@ TEST(ContextCacheHelpers, AllHelpersMatchRefimplAcrossKs) {
                                          n / 8, n / 2, n ? n - 1 : 0, n,
                                          n + 10};
     for (const std::size_t k : ks) {
-      // Fresh cache per query so each k takes its cold path (heap top-k
-      // for small k, gather + nth_element for large, full sort at k >= n).
-      ContextCache cache;
-      cache.invalidate();
-      SchedulerContext cached(0.0, 4, alive, &cache);
-      SchedulerContext plain(0.0, 4, alive, nullptr);
+      // Fresh orders per query so each k starts from an empty memo (and
+      // the SRPT side from a stale heap).
+      IncrementalOrders orders = orders_for(alive);
+      SchedulerContext ctx(0.0, 4, alive, orders);
       const std::string what =
           "n=" + std::to_string(n) + " k=" + std::to_string(k);
-      expect_span_eq(cached.smallest_remaining(k),
+      expect_span_eq(ctx.smallest_remaining(k),
                      refimpl::smallest_remaining(alive, k),
                      "smallest_remaining " + what);
-      expect_span_eq(plain.smallest_remaining(k),
-                     refimpl::smallest_remaining(alive, k),
-                     "uncached smallest_remaining " + what);
-      expect_span_eq(cached.latest_arrivals(k),
+      expect_span_eq(ctx.latest_arrivals(k),
                      refimpl::latest_arrivals(alive, k),
                      "latest_arrivals " + what);
     }
-    ContextCache cache;
-    cache.invalidate();
-    SchedulerContext cached(0.0, 4, alive, &cache);
-    expect_span_eq(cached.by_remaining(), refimpl::by_remaining(alive),
+    IncrementalOrders orders = orders_for(alive);
+    SchedulerContext ctx(0.0, 4, alive, orders);
+    EXPECT_EQ(ctx.min_remaining(), refimpl::min_remaining(alive));
+    expect_span_eq(ctx.by_remaining(), refimpl::by_remaining(alive),
                    "by_remaining n=" + std::to_string(n));
-    expect_span_eq(cached.by_latest_arrival(),
+    expect_span_eq(ctx.by_latest_arrival(),
                    refimpl::by_latest_arrival(alive),
                    "by_latest_arrival n=" + std::to_string(n));
-    EXPECT_EQ(cached.min_remaining(), refimpl::min_remaining(alive));
   }
 }
 
-// Widening queries on one cache must upgrade the memo in place without
-// changing previously returned prefixes (kPrefix -> wider prefix ->
-// kFull), whatever mix of heap and nth_element paths served them.
+// Widening queries in one decision must extend the memo without changing
+// previously returned prefixes: a span handed out early must still hold
+// the oracle's answer after the widest query has been served.
 TEST(ContextCacheHelpers, PrefixUpgradesPreserveEarlierAnswers) {
   std::mt19937_64 rng(99);
   const std::size_t n = 160;
   const std::vector<AliveJob> alive = random_alive(rng, n);
   const std::vector<std::size_t> ref = refimpl::by_remaining(alive);
 
-  ContextCache cache;
-  cache.invalidate();
-  SchedulerContext ctx(0.0, 4, alive, &cache);
-  // min first (scan path), then heap top-k, then nth_element, then full.
+  IncrementalOrders orders = orders_for(alive);
+  SchedulerContext ctx(0.0, 4, alive, orders);
+  // min first (heap root), then heap top-k at growing widths, then full.
   EXPECT_EQ(ctx.min_remaining(), ref[0]);
+  const auto first = ctx.smallest_remaining(2);
   for (const std::size_t k : {std::size_t{2}, std::size_t{10},
                               std::size_t{n / 2}, n}) {
     const auto span = ctx.smallest_remaining(k);
@@ -288,10 +289,12 @@ TEST(ContextCacheHelpers, PrefixUpgradesPreserveEarlierAnswers) {
       EXPECT_EQ(span[i], ref[i]) << "k=" << k << " position " << i;
     }
   }
-  EXPECT_EQ(ctx.min_remaining(), ref[0]);  // memoized answer survives
+  expect_span_eq(first, {ref[0], ref[1]}, "earliest SRPT span");
+  EXPECT_EQ(ctx.min_remaining(), ref[0]);
 
   // Same for the latest-arrival family.
   const std::vector<std::size_t> lref = refimpl::by_latest_arrival(alive);
+  const auto lfirst = ctx.latest_arrivals(3);
   for (const std::size_t k : {std::size_t{3}, std::size_t{40}, n}) {
     const auto span = ctx.latest_arrivals(k);
     ASSERT_EQ(span.size(), std::min(k, n));
@@ -299,16 +302,16 @@ TEST(ContextCacheHelpers, PrefixUpgradesPreserveEarlierAnswers) {
       EXPECT_EQ(span[i], lref[i]) << "latest k=" << k << " position " << i;
     }
   }
+  expect_span_eq(lfirst, {lref[0], lref[1], lref[2]}, "earliest latest span");
 }
 
 // ---- Tie-break pinning --------------------------------------------------
 //
-// The k-bounded selections are only interchangeable with the full sorts
-// because the comparators are strict *total* orders: remaining ties break
-// by release, then by id (SRPT), and release ties break by id descending
+// Prefixes are only interchangeable with the full orders because the
+// comparators are strict *total* orders: remaining ties break by release,
+// then by id (SRPT), and release ties break by id descending
 // (latest-arrival). Pin those orders on hand-built sets where every
-// tie-break level is exercised, at a k small enough for the bounded-heap
-// path (k <= n/8) and at larger k for the nth_element path.
+// tie-break level is exercised, at a small k (k <= n/8) and a larger one.
 
 std::vector<AliveJob> tie_heavy_alive() {
   // 24 jobs. Indices 17, 9, 5 share the smallest remaining; 17 and 9 also
@@ -335,12 +338,9 @@ std::vector<AliveJob> tie_heavy_alive() {
 TEST(ContextCacheTieBreaks, SmallestRemainingPinsSrptOrder) {
   const std::vector<AliveJob> alive = tie_heavy_alive();
   const std::vector<std::size_t> want = {17, 9, 5};  // (rem, release, id) asc
-  // k = 3 <= 24/8: bounded-heap path. k = 5: nth_element path. Both must
-  // agree with refimpl and start with the pinned tie-broken prefix.
   for (const std::size_t k : {std::size_t{3}, std::size_t{5}}) {
-    ContextCache cache;
-    cache.invalidate();
-    SchedulerContext ctx(0.0, 4, alive, &cache);
+    IncrementalOrders orders = orders_for(alive);
+    SchedulerContext ctx(0.0, 4, alive, orders);
     const auto got = ctx.smallest_remaining(k);
     ASSERT_EQ(got.size(), k);
     for (std::size_t i = 0; i < want.size(); ++i) {
@@ -370,9 +370,8 @@ TEST(ContextCacheTieBreaks, LatestArrivalsPinsReleaseIdDescOrder) {
   const std::vector<std::size_t> want = {11, 3, 4};
   for (const std::size_t k : {std::size_t{2}, std::size_t{3},
                               std::size_t{6}}) {
-    ContextCache cache;
-    cache.invalidate();
-    SchedulerContext ctx(0.0, 4, alive, &cache);
+    IncrementalOrders orders = orders_for(alive);
+    SchedulerContext ctx(0.0, 4, alive, orders);
     const auto got = ctx.latest_arrivals(k);
     ASSERT_EQ(got.size(), k);
     for (std::size_t i = 0; i < std::min(k, want.size()); ++i) {

@@ -1,12 +1,19 @@
 // Engine guard rails and EngineView queries.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <future>
+#include <limits>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "check/contract.hpp"
 #include "check/invariant_auditor.hpp"
 #include "sched/intermediate_srpt.hpp"
 #include "sched/registry.hpp"
+#include "serve/binproto.hpp"
+#include "serve/protocol.hpp"
 #include "simcore/engine.hpp"
 #include "util/mathx.hpp"
 
@@ -290,6 +297,93 @@ TEST(EngineGuards, IsCompletedFlipsAfterCompletion) {
   ASSERT_EQ(r.jobs(), 2u);
   EXPECT_NEAR(r.records[0].completion, 1.0, 1e-9);
   EXPECT_NEAR(r.records[1].completion, 2.0, 1e-9);
+}
+
+// Engine::admit is a trust boundary: the serve layer hands it whatever a
+// client sent. NaN fails every comparison, so each check must be written
+// to reject it rather than to accept whatever a `<` lets through.
+TEST(EngineGuards, AdmitRejectsNonFiniteReleaseSizeAndWeight) {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInfinity = std::numeric_limits<double>::infinity();
+  IntermediateSrpt sched;
+  Engine engine(2);
+  engine.begin(sched);
+
+  Job nan_release = make_job(0, 0.0, 1.0, 0.5);
+  nan_release.release = kNaN;
+  EXPECT_THROW(engine.admit(nan_release), std::invalid_argument);
+  Job inf_release = make_job(1, 0.0, 1.0, 0.5);
+  inf_release.release = kInfinity;
+  EXPECT_THROW(engine.admit(inf_release), std::invalid_argument);
+  EXPECT_THROW(engine.admit(make_job(2, 0.0, kInfinity, 0.5)),
+               std::invalid_argument);
+  EXPECT_THROW(engine.admit(make_job(3, 0.0, kNaN, 0.5)),
+               std::invalid_argument);
+  Job nan_weight = make_job(4, 0.0, 1.0, 0.5);
+  nan_weight.weight = kNaN;
+  EXPECT_THROW(engine.admit(nan_weight), std::invalid_argument);
+  Job zero_weight = make_job(5, 0.0, 1.0, 0.5);
+  zero_weight.weight = 0.0;
+  EXPECT_THROW(engine.admit(zero_weight), std::invalid_argument);
+  EXPECT_EQ(engine.pending_count(), 0u);
+
+  // Nothing was admitted, so the run finishes with the valid job alone.
+  engine.admit(make_job(6, 0.5, 2.0, 0.5));
+  const SimResult r = engine.finish();
+  ASSERT_EQ(r.jobs(), 1u);
+  EXPECT_NEAR(r.total_flow, 2.0 / std::pow(2.0, 0.5), 1e-9);
+  EXPECT_EQ(r.weighted_flow, r.total_flow);
+}
+
+std::string line_request(serve::ProtocolHandler& h, const std::string& line) {
+  auto p = std::make_shared<std::promise<std::string>>();
+  auto f = p->get_future();
+  h.handle_line(line, [p](const std::string& s) { p->set_value(s); });
+  return f.get();
+}
+
+std::string frame_request(serve::ProtocolHandler& h,
+                          const std::string& payload) {
+  auto p = std::make_shared<std::promise<std::string>>();
+  auto f = p->get_future();
+  h.handle_frame(payload, [p](const std::string& s) { p->set_value(s); });
+  return f.get();
+}
+
+// The same boundary seen from both wires: a non-finite admission is a
+// request error, and the session it targeted keeps serving.
+TEST(EngineGuards, ServeRejectsNonFiniteAdmissionsOnBothWires) {
+  serve::ProtocolHandler h(
+      serve::Cluster::Config{1, 1, 4, 16, nullptr, nullptr});
+  const std::string opened = line_request(
+      h, R"({"op":"open","id":1,"policy":"isrpt","machines":2})");
+  ASSERT_NE(opened.find(R"("ok":true)"), std::string::npos) << opened;
+  const std::string::size_type at = opened.find(R"("session":)");
+  ASSERT_NE(at, std::string::npos) << opened;
+  const std::uint64_t sid = std::stoull(opened.substr(at + 10));
+  const std::string session = std::to_string(sid);
+
+  const std::string huge = line_request(
+      h, R"({"op":"admit","id":2,"session":)" + session +
+             R"(,"job":{"id":0,"release":0,"size":1e999,"curve":"pow:0.5"}})");
+  EXPECT_NE(huge.find(R"("ok":false)"), std::string::npos) << huge;
+
+  Job nan_release = make_job(1, 0.0, 1.0, 0.5);
+  nan_release.release = std::numeric_limits<double>::quiet_NaN();
+  const serve::BinResponse nan_resp = serve::parse_bin_response(
+      frame_request(h, serve::bin_admit(3, sid, nan_release)));
+  EXPECT_EQ(nan_resp.status, serve::BinStatus::kError) << nan_resp.error;
+
+  const std::string ok = line_request(
+      h, R"({"op":"admit","id":4,"session":)" + session +
+             R"(,"job":{"id":2,"release":0,"size":1,"curve":"pow:0.5"}})");
+  EXPECT_NE(ok.find(R"("ok":true)"), std::string::npos) << ok;
+  const serve::BinResponse fin =
+      serve::parse_bin_response(frame_request(h, serve::bin_finish(5, sid)));
+  ASSERT_EQ(fin.status, serve::BinStatus::kOk) << fin.error;
+  EXPECT_EQ(fin.jobs, 1u);
+  EXPECT_TRUE(std::isfinite(fin.total_flow));
+  h.drain();
 }
 
 }  // namespace

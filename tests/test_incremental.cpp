@@ -1,30 +1,37 @@
-// Differential proof of the incremental engine arm (PR 8).
+// Oracle proof of the engine's ordering module (IncrementalOrders).
 //
-// The contract under test: EngineConfig::use_incremental_orders — the
-// persistent IncrementalOrders heaps that replace the per-decision
-// O(n log n) ordering rebuild with O(log n) event maintenance — is pure
-// mechanism. Three arms must agree double for double on every decision:
+// The contract under test: the persistent orders — the SRPT heap with
+// O(log n) event maintenance and lazy decay, and the release-ordered
+// latest-arrival array with tombstones — give, at every decision, exactly
+// the answers of the straightforward sorts in
+// tests/simcore/ordering_oracle.hpp. Each comparison is three-way:
 //
-//   incremental  (use_context_cache = true,  use_incremental_orders = true)
-//   cache        (use_context_cache = true,  use_incremental_orders = false)
-//   refimpl      (use_context_cache = false — the PR 5 reference arm)
+//   production     the policy run through the engine as deployed
+//   oracle-checked the same run with every ordering answer of every
+//                  decision's context checked against the oracle
+//   oracle         refimpl:: (per-call iota + sort / nth_element)
+//
+// The oracle-checked run asks for both full orders each decision, which
+// keeps the SRPT heap fresh; the production run leaves it stale whenever
+// its policy never asks. The two runs must still agree double for double,
+// so the decay / stale-rebuild path is proven too.
 //
 // The spine is a property-based fuzzer: a seeded instance generator
 // (mixed parallelizability, bursty arrivals, completion/time-tolerance
 // edge sizes, zero-rate stretches) drives all registry policies through
-// all three arms, comparing a per-decision FNV hash of (time, shares)
-// plus every SimResult total and completion record. On a mismatch the
+// both runs, comparing a per-decision FNV hash of (time, shares) plus
+// every SimResult total and completion record. On a mismatch the
 // harness shrinks to a minimal failing job-count prefix, names the first
 // divergent decision, and (when PARSCHED_FUZZ_DUMP_DIR is set) dumps the
-// incremental arm's flight record for the failing case. Depth scales
-// with PARSCHED_FUZZ_ITERS (default 10 seeds ≈ 3×10⁵ driven events —
+// production run's flight record for the failing case. Depth scales
+// with PARSCHED_FUZZ_ITERS (default 10 seeds ≈ 2×10⁵ driven events —
 // the PR-gate setting; the nightly CI leg raises it).
 //
 // Alongside the fuzzer: ~12 pinned seed-corpus regression cases for the
-// heap edge cases (duplicate keys, completion bursts emptying the heap,
-// admit-during-deferral, decay epochs crossing the top-k boundary, ...)
-// and tie-break pins proving the ContextCache bounded-heap and the
-// incremental heaps realize the same total orders at k == n and k < n/8.
+// ordering edge cases (duplicate keys, completion bursts emptying the
+// orders, admit-during-deferral, decay epochs crossing the top-k
+// boundary, ...) and tie-break pins for both total orders at k == n and
+// k < n/8.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -41,6 +48,7 @@
 #include "sched/registry.hpp"
 #include "simcore/engine.hpp"
 #include "simcore/incremental.hpp"
+#include "simcore/ordering_oracle.hpp"  // tests/simcore/: the oracle
 #include "simcore/scheduler.hpp"
 #include "util/env.hpp"
 #include "workload/random.hpp"
@@ -49,11 +57,11 @@ namespace parsched {
 namespace {
 
 // Every registry family (same list as test_context_cache.cpp), so each
-// ordering helper's incremental path is exercised by a policy that
-// actually calls it: smallest_remaining (SRPT family), min_remaining
-// (par-srpt), latest_arrivals (LAPS / oldest-equi), by_latest_arrival
+// ordering helper is exercised by a policy that actually calls it:
+// smallest_remaining (SRPT family), min_remaining (par-srpt),
+// latest_arrivals (LAPS / oldest-equi), by_latest_arrival
 // (quantized-equi), by_remaining (mlf / wisrpt / setf), and the
-// no-helper policies (equi, greedy) that still drive heap maintenance.
+// no-helper policies (equi, greedy) that still drive order maintenance.
 const char* const kAllPolicies[] = {
     "isrpt",         "seq-srpt",        "par-srpt",
     "greedy",        "equi",            "isrpt-boost",
@@ -90,29 +98,43 @@ class DecisionHasher : public Observer {
   std::vector<std::uint64_t> hashes;
 };
 
-enum class Arm { kIncremental, kCache, kRefimpl };
-
-EngineConfig arm_config(Arm arm) {
-  EngineConfig cfg;
-  cfg.use_context_cache = arm != Arm::kRefimpl;
-  cfg.use_incremental_orders = arm == Arm::kIncremental;
-  return cfg;
-}
-
-struct ArmRun {
+struct EngineRun {
   SimResult result;
   std::vector<std::uint64_t> hashes;
+  std::string oracle_mismatch;  ///< oracle-checked runs only
 };
 
-ArmRun run_arm(const Instance& inst, const std::string& policy, Arm arm,
-               obs::FlightRecorder* recorder = nullptr) {
+/// Wrap a fresh `policy` in the oracle check when `checked` is set.
+std::unique_ptr<Scheduler> make_policy(const std::string& policy,
+                                       bool checked) {
   auto sched = make_scheduler(policy);
-  EngineConfig cfg = arm_config(arm);
+  if (!checked) return sched;
+  return std::make_unique<refimpl::OracleCheckedScheduler>(std::move(sched));
+}
+
+/// The oracle verdict of a finished oracle-checked run: its first
+/// mismatching answer, or a complaint when a decision went unchecked.
+std::string oracle_verdict(const Scheduler& sched, const SimResult& r) {
+  const auto& checker =
+      dynamic_cast<const refimpl::OracleCheckedScheduler&>(sched);
+  if (!checker.first_mismatch().empty()) return checker.first_mismatch();
+  if (checker.checked() != r.decisions) {
+    return "checked " + std::to_string(checker.checked()) + " of " +
+           std::to_string(r.decisions) + " decisions";
+  }
+  return {};
+}
+
+EngineRun run_engine(const Instance& inst, const std::string& policy,
+                     bool checked, obs::FlightRecorder* recorder = nullptr) {
+  auto sched = make_policy(policy, checked);
+  EngineConfig cfg;
   cfg.recorder = recorder;
   DecisionHasher hasher;
-  ArmRun out;
+  EngineRun out;
   out.result = simulate(inst, *sched, cfg, {&hasher});
   out.hashes = std::move(hasher.hashes);
+  if (checked) out.oracle_mismatch = oracle_verdict(*sched, out.result);
   return out;
 }
 
@@ -121,7 +143,7 @@ struct Divergence {
   std::string detail;
 };
 
-Divergence compare_runs(const ArmRun& a, const ArmRun& b) {
+Divergence compare_runs(const EngineRun& a, const EngineRun& b) {
   Divergence d;
   const auto fail = [&d](std::string detail) {
     d.diverged = true;
@@ -164,18 +186,18 @@ Divergence compare_runs(const ArmRun& a, const ArmRun& b) {
   return d;
 }
 
-/// One three-way comparison; empty detail when all arms agree.
-Divergence three_way(const Instance& inst, const std::string& policy) {
-  const ArmRun ref = run_arm(inst, policy, Arm::kRefimpl);
-  const ArmRun cache = run_arm(inst, policy, Arm::kCache);
-  const ArmRun inc = run_arm(inst, policy, Arm::kIncremental);
-  Divergence d = compare_runs(inc, ref);
-  if (d.diverged) {
-    d.detail = "incremental vs refimpl: " + d.detail;
-    return d;
+/// One three-way comparison; empty detail when the production run, the
+/// oracle-checked run and the oracle all agree.
+Divergence three_way(const Instance& inst, const std::string& policy,
+                     std::uint64_t* events = nullptr) {
+  const EngineRun prod = run_engine(inst, policy, false);
+  const EngineRun checked = run_engine(inst, policy, true);
+  if (events != nullptr) *events = prod.result.events + checked.result.events;
+  if (!checked.oracle_mismatch.empty()) {
+    return {true, "engine vs oracle: " + checked.oracle_mismatch};
   }
-  d = compare_runs(cache, ref);
-  if (d.diverged) d.detail = "cache vs refimpl: " + d.detail;
+  Divergence d = compare_runs(prod, checked);
+  if (d.diverged) d.detail = "production vs oracle-checked run: " + d.detail;
   return d;
 }
 
@@ -185,8 +207,9 @@ Divergence three_way(const Instance& inst, const std::string& policy) {
 /// mixed parallelizability (sequential / power-law alpha sweep / fully
 /// parallel), completion-tolerance-edge sizes (jobs whose whole work is
 /// within completion_tol, finishing with zero processing), time-tol-edge
-/// near-ties, and far more jobs than machines so SRPT-style allocations
-/// leave long zero-rate stretches.
+/// near-ties, far more jobs than machines so SRPT-style allocations
+/// leave long zero-rate stretches, and ids shuffled within each burst so
+/// equal-release admissions arrive out of (release, id) order.
 Instance fuzz_instance(std::uint64_t seed, std::size_t jobs = 0) {
   std::mt19937_64 rng(seed ^ 0x9E3779B97F4A7C15ull);
   std::uniform_real_distribution<double> u(0.0, 1.0);
@@ -229,6 +252,19 @@ Instance fuzz_instance(std::uint64_t seed, std::size_t jobs = 0) {
     if (u(rng) < 0.3) j.weight = 1.0 + 3.0 * u(rng);
     out.push_back(std::move(j));
   }
+  // Shuffle ids within each burst (a separate stream, so releases, sizes
+  // and curves stay those of the seed): the latest-arrival array then
+  // takes its binary-search insert, not only its append.
+  std::mt19937_64 id_rng(seed ^ 0x1D5EEDull);
+  for (std::size_t b = 0; b < out.size();) {
+    std::size_t e = b + 1;
+    while (e < out.size() && out[e].release == out[b].release) ++e;
+    for (std::size_t i = e - 1; i > b; --i) {
+      const std::size_t k = b + id_rng() % (i - b + 1);
+      std::swap(out[i].id, out[k].id);
+    }
+    b = e;
+  }
   return Instance(machines, std::move(out));
 }
 
@@ -241,7 +277,7 @@ std::string sanitize(const std::string& s) {
 }
 
 /// Artifact hook for CI: when PARSCHED_FUZZ_DUMP_DIR is set, replay the
-/// incremental arm of a failing case with a flight recorder armed and
+/// production run of a failing case with a flight recorder armed and
 /// dump its ring for upload next to the failing seed.
 void dump_failing_case(const Instance& inst, const std::string& policy,
                        const std::string& label) {
@@ -250,7 +286,7 @@ void dump_failing_case(const Instance& inst, const std::string& policy,
   obs::FlightRecorder recorder(8192);
   recorder.set_dump_path(dir + "/fuzz_" + sanitize(label) + "_" +
                          sanitize(policy) + ".jsonl");
-  run_arm(inst, policy, Arm::kIncremental, &recorder);
+  run_engine(inst, policy, false, &recorder);
   recorder.dump_to_file("fuzz_mismatch");
 }
 
@@ -283,10 +319,11 @@ std::size_t shrink_min_prefix(const Instance& inst, const std::string& policy) {
 /// Run the three-way comparison; on mismatch emit the minimal-seed
 /// report (seed label, policy, shrunken prefix, first divergence) and a
 /// flight-record artifact. Returns the number of driven events (summed
-/// over the three arms) for the depth accounting.
+/// over both engine runs) for the depth accounting.
 std::uint64_t check_instance(const Instance& inst, const std::string& policy,
                              const std::string& label) {
-  const Divergence d = three_way(inst, policy);
+  std::uint64_t events = 0;
+  const Divergence d = three_way(inst, policy, &events);
   if (d.diverged) {
     const std::size_t min_jobs = shrink_min_prefix(inst, policy);
     dump_failing_case(inst, policy, label);
@@ -298,9 +335,7 @@ std::uint64_t check_instance(const Instance& inst, const std::string& policy,
                   << ", shrink with the first " << min_jobs << " jobs";
     return 0;
   }
-  // All arms agree; count the events each arm actually drove.
-  const ArmRun probe = run_arm(inst, policy, Arm::kIncremental);
-  return 3 * probe.result.events;
+  return events;
 }
 
 TEST(IncrementalFuzz, ThreeWayDifferentialOverRandomEventSchedules) {
@@ -317,22 +352,22 @@ TEST(IncrementalFuzz, ThreeWayDifferentialOverRandomEventSchedules) {
       if (HasFailure()) return;  // the shrunken report is already emitted
     }
   }
-  std::printf("incremental fuzz: %llu driven events across %ld seeds\n",
+  std::printf("oracle fuzz: %llu driven events across %ld seeds\n",
               static_cast<unsigned long long>(total_events), iters);
   // Depth floor: every seed must contribute >= 10^4 driven events
-  // (14 policies x 3 arms x ~2 events/job); the default 10 seeds put the
+  // (14 policies x 2 runs x ~2 events/job); the default 10 seeds put the
   // PR gate itself past the 10^5-event acceptance bar.
   EXPECT_GE(total_events, static_cast<std::uint64_t>(iters) * 10000ull);
 }
 
-// ---- Seed corpus: pinned heap edge cases --------------------------------
+// ---- Seed corpus: pinned ordering edge cases ----------------------------
 //
 // Reproducible without the fuzzer: each case pins a generator seed (or a
 // hand-built shape the generator reaches only occasionally) that lands
-// on a specific heap edge, and runs the full three-way comparison as its
-// own ctest case.
+// on a specific ordering edge, and runs the full three-way comparison as
+// its own ctest case.
 
-/// PARSCHED_AUDIT scope: arms the engine-side heap-vs-alive audit (and
+/// PARSCHED_AUDIT scope: arms the engine-side orders-vs-alive audit (and
 /// the AllocGuard fences) for every engine constructed inside it.
 class AuditScope {
  public:
@@ -361,7 +396,7 @@ TEST(IncrementalSeedCorpus, DuplicateRemainingKeysTieStorm) {
 
 TEST(IncrementalSeedCorpus, CompletionBurstEmptiesHeap) {
   // Identical fully-parallel jobs under EQUI complete simultaneously:
-  // one sweep removes every heap entry (the swap-remove mirror's
+  // one sweep removes every order entry (the swap-remove mirror's
   // hardest case), then a second wave refills from empty.
   AuditScope audit;
   std::vector<Job> jobs;
@@ -384,20 +419,15 @@ TEST(IncrementalSeedCorpus, CompletionBurstEmptiesHeap) {
 
 TEST(IncrementalSeedCorpus, AdmitDuringDeferredDecision) {
   // Streaming: advances that stop short of the next event defer the
-  // decision; admissions landing while deferred must enter the heaps
-  // only when released. The streamed incremental run must match the
-  // batch refimpl run double for double.
+  // decision; admissions landing while deferred must enter the orders
+  // only when released. The streamed, oracle-checked run must match the
+  // batch production run double for double.
   const Instance inst = fuzz_instance(0xDEFE77ull, 160);
   for (const char* policy : {"isrpt", "laps:0.25", "quantized-equi:0.5"}) {
-    auto ref_sched = make_scheduler(policy);
-    EngineConfig ref_cfg = arm_config(Arm::kRefimpl);
-    DecisionHasher ref_hash;
-    ArmRun ref;
-    ref.result = simulate(inst, *ref_sched, ref_cfg, {&ref_hash});
-    ref.hashes = std::move(ref_hash.hashes);
+    const EngineRun batch = run_engine(inst, policy, false);
 
-    auto sched = make_scheduler(policy);
-    Engine eng(inst.machines(), arm_config(Arm::kIncremental));
+    auto sched = make_policy(policy, true);
+    Engine eng(inst.machines());
     DecisionHasher stream_hash;
     eng.add_observer(&stream_hash);
     eng.begin(*sched);
@@ -409,10 +439,11 @@ TEST(IncrementalSeedCorpus, AdmitDuringDeferredDecision) {
         eng.advance_to(t);  // often parks a deferred decision mid-flight
       }
     }
-    ArmRun streamed;
+    EngineRun streamed;
     streamed.result = eng.finish();
     streamed.hashes = std::move(stream_hash.hashes);
-    const Divergence d = compare_runs(streamed, ref);
+    EXPECT_EQ(oracle_verdict(*sched, streamed.result), "") << policy;
+    const Divergence d = compare_runs(streamed, batch);
     EXPECT_FALSE(d.diverged) << policy << " streamed vs batch: " << d.detail;
   }
 }
@@ -444,7 +475,7 @@ TEST(IncrementalSeedCorpus, DecayCrossingTopKBoundary) {
 
 TEST(IncrementalSeedCorpus, CompletionToleranceEdgeSizes) {
   // Jobs whose entire work sits inside completion_tol complete with zero
-  // processing — heap entries that die in dt = 0 steps, interleaved with
+  // processing — order entries that die in dt = 0 steps, interleaved with
   // normal-sized work.
   std::vector<Job> jobs;
   for (int i = 0; i < 60; ++i) {
@@ -465,8 +496,9 @@ TEST(IncrementalSeedCorpus, CompletionToleranceEdgeSizes) {
 
 TEST(IncrementalSeedCorpus, TimeToleranceEdgeArrivals) {
   // Releases separated by less than time_tol are handled as simultaneous
-  // — the latest-arrival heap must break those "ties" by id exactly as
-  // the flat sort does.
+  // — the latest-arrival array must break those "ties" by id exactly as
+  // the oracle's sort does. Ids descend against admission order, so every
+  // admission after the first takes the binary-search insert.
   std::vector<Job> jobs;
   for (int i = 0; i < 48; ++i) {
     Job j;
@@ -507,7 +539,7 @@ TEST(IncrementalSeedCorpus, ZeroRateStretchesSequentialGlut) {
 }
 
 TEST(IncrementalSeedCorpus, HeapEmptiesBetweenWaves) {
-  // Two widely separated waves: the alive set (and both heaps) drain to
+  // Two widely separated waves: the alive set (and both orders) drain to
   // empty mid-run, then rebuild through admissions alone.
   std::vector<Job> jobs;
   for (int wave = 0; wave < 3; ++wave) {
@@ -529,13 +561,13 @@ TEST(IncrementalSeedCorpus, HeapEmptiesBetweenWaves) {
 
 TEST(IncrementalSeedCorpus, SnapshotRestoreRebuildsHeaps) {
   // Export mid-run, import into a fresh engine, and the continuation
-  // must equal the donor's — proving the lazily-rebuilt heaps reproduce
-  // the donor's orderings bit for bit.
+  // must equal the donor's — and, oracle-checked, prove that the orders
+  // rebuilt from the snapshot answer every decision exactly.
   const Instance inst = fuzz_instance(0x5EED5ull, 140);
   for (const char* policy : {"isrpt", "laps:0.5", "quantized-equi:0.5"}) {
     // Donor: run straight through.
     auto donor_sched = make_scheduler(policy);
-    Engine donor(inst.machines(), arm_config(Arm::kIncremental));
+    Engine donor(inst.machines());
     donor.begin(*donor_sched);
     for (const Job& j : inst.jobs()) donor.admit(j);
     const double t_cut = inst.jobs()[inst.jobs().size() / 2].release;
@@ -545,11 +577,13 @@ TEST(IncrementalSeedCorpus, SnapshotRestoreRebuildsHeaps) {
     const SimResult donor_result = donor.finish();
 
     // Continuation: restore and finish.
-    auto cont_sched = make_scheduler(policy);
-    cont_sched->load_state(sched_state);
-    Engine cont(inst.machines(), arm_config(Arm::kIncremental));
-    cont.import_state(snap, *cont_sched);
+    refimpl::OracleCheckedScheduler cont_sched(make_scheduler(policy));
+    cont_sched.load_state(sched_state);
+    Engine cont(inst.machines());
+    cont.import_state(snap, cont_sched);
     const SimResult cont_result = cont.finish();
+    EXPECT_EQ(cont_sched.first_mismatch(), "") << policy;
+    EXPECT_GT(cont_sched.checked(), 0u) << policy;
 
     EXPECT_EQ(donor_result.total_flow, cont_result.total_flow) << policy;
     EXPECT_EQ(donor_result.fractional_flow, cont_result.fractional_flow)
@@ -569,8 +603,8 @@ TEST(IncrementalSeedCorpus, MassDecayUnderDenseAllocations) {
   // EQUI-family allocations run every alive job: every sweep crosses the
   // n/8 threshold and declares a decay epoch. oldest-equi also queries
   // latest_arrivals(n) (never stale); equi queries nothing, so its SRPT
-  // heap stays stale forever — both must still agree with refimpl, under
-  // the full engine-side heap audit.
+  // heap stays stale forever in the production run — both must still
+  // agree with the oracle, under the full engine-side audit.
   AuditScope audit;
   const Instance inst = fuzz_instance(0xDECA1ull, 150);
   for (const char* policy : {"equi", "oldest-equi:0.5", "greedy"}) {
@@ -629,19 +663,20 @@ std::vector<AliveJob> make_alive(std::mt19937_64& rng, std::size_t n) {
 void expect_orders_match(IncrementalOrders& inc,
                          const std::vector<AliveJob>& alive,
                          const std::string& what) {
-  std::vector<std::size_t> got(alive.size());
   const std::vector<std::size_t> srpt_ref = refimpl::by_remaining(alive);
   const std::vector<std::size_t> latest_ref = refimpl::by_latest_arrival(alive);
   for (const std::size_t k :
        {std::size_t{1}, alive.size() / 8, alive.size() / 2, alive.size()}) {
     if (k == 0) continue;
-    inc.fill_srpt(alive, k, got.data());
+    const auto srpt = inc.srpt_prefix(alive, k);
+    ASSERT_EQ(srpt.size(), k) << what;
     for (std::size_t i = 0; i < k; ++i) {
-      ASSERT_EQ(got[i], srpt_ref[i]) << what << " srpt k=" << k << " @" << i;
+      ASSERT_EQ(srpt[i], srpt_ref[i]) << what << " srpt k=" << k << " @" << i;
     }
-    inc.fill_latest(k, got.data());
+    const auto latest = inc.latest_prefix(k);
+    ASSERT_EQ(latest.size(), k) << what;
     for (std::size_t i = 0; i < k; ++i) {
-      ASSERT_EQ(got[i], latest_ref[i])
+      ASSERT_EQ(latest[i], latest_ref[i])
           << what << " latest k=" << k << " @" << i;
     }
   }
@@ -703,12 +738,57 @@ TEST(IncrementalOrdersUnit, RandomChurnMatchesRefimpl) {
   EXPECT_GT(inc.decay_epochs(), 0u);
 }
 
-// ---- Tie-break pinning: both engines of both total orders ---------------
+TEST(IncrementalOrdersUnit, LatestTombstonesCompactWithoutReordering) {
+  // Completions in the middle of the release order leave tombstones;
+  // completions at the back pop at once; once the tombstones outnumber
+  // the live entries the array compacts. Every step — including those
+  // straddling a compaction — must still answer like refimpl and pass
+  // the structural audit (sorted, bijective position map, exact count).
+  std::vector<AliveJob> alive;
+  IncrementalOrders inc;
+  for (int i = 0; i < 96; ++i) {
+    AliveJob j;
+    j.id = static_cast<JobId>(i);
+    j.release = 0.5 * static_cast<double>(i / 3);  // triples share a release
+    j.remaining = 1.0 + static_cast<double>(i % 11);
+    j.size = j.remaining;
+    inc.reserve(alive.size() + 1);
+    alive.push_back(j);
+    inc.insert(alive.back(), alive.size() - 1);
+  }
+  // Mostly remove the median-release job — a mid-array tombstone — and
+  // every seventh time the latest one, which pops at the back.
+  while (alive.size() > 2) {
+    const std::vector<std::size_t> order = refimpl::by_latest_arrival(alive);
+    const std::size_t i =
+        alive.size() % 7 == 0 ? order[0] : order[alive.size() / 2];
+    const std::size_t last = alive.size() - 1;
+    inc.remove_swap(i, last);
+    alive[i] = alive[last];
+    alive.pop_back();
+    expect_orders_match(inc, alive,
+                        "alive=" + std::to_string(alive.size()));
+    if (HasFatalFailure()) return;
+  }
+  // Refill after the churn: appends land behind the surviving entries.
+  for (int i = 0; i < 8; ++i) {
+    AliveJob j;
+    j.id = static_cast<JobId>(500 + i);
+    j.release = 100.0;
+    j.remaining = 2.0;
+    j.size = 2.0;
+    inc.reserve(alive.size() + 1);
+    alive.push_back(j);
+    inc.insert(alive.back(), alive.size() - 1);
+  }
+  expect_orders_match(inc, alive, "refilled");
+}
+
+// ---- Tie-break pinning: both total orders --------------------------------
 //
-// The satellite fix under proof: the ContextCache bounded-heap top-k and
-// the IncrementalOrders heaps must realize the *same* strict total
-// orders for equal keys, at k == n (full sort vs. heap-copy sort) and at
-// k < n/8 (bounded-heap selection vs. heap traversal).
+// The IncrementalOrders must realize the oracle's strict total orders for
+// equal keys, at k == n (heap-copy sort, full array walk) and at k < n/8
+// (heap traversal, partial array walk).
 
 std::vector<AliveJob> tie_heavy_alive() {
   // 24 jobs; indices 17, 9, 5 share the smallest remaining. 17 and 9
@@ -745,25 +825,15 @@ TEST(IncrementalTieBreaks, SrptOrderPinnedAtFullAndSmallK) {
   const std::vector<std::size_t> want_prefix = {17, 9, 5};
   const std::vector<std::size_t> full_ref = refimpl::by_remaining(alive);
   IncrementalOrders inc = build_inc(alive);
-  std::vector<std::size_t> got(alive.size());
   // k = 3 <= 24/8 (heap traversal) and k = n (heap-copy full sort).
   for (const std::size_t k : {std::size_t{3}, alive.size()}) {
-    inc.fill_srpt(alive, k, got.data());
+    const auto got = inc.srpt_prefix(alive, k);
+    ASSERT_EQ(got.size(), k);
     for (std::size_t i = 0; i < want_prefix.size(); ++i) {
       EXPECT_EQ(got[i], want_prefix[i]) << "k=" << k << " position " << i;
     }
     for (std::size_t i = 0; i < k; ++i) {
       EXPECT_EQ(got[i], full_ref[i]) << "refimpl k=" << k << " @" << i;
-    }
-    // The ContextCache bounded-heap / sort paths must agree entry for
-    // entry with the incremental heap at the same k.
-    ContextCache cache;
-    cache.invalidate();
-    SchedulerContext cached(0.0, 4, alive, &cache);
-    const auto cache_span = cached.smallest_remaining(k);
-    ASSERT_EQ(cache_span.size(), k);
-    for (std::size_t i = 0; i < k; ++i) {
-      EXPECT_EQ(cache_span[i], got[i]) << "cache vs inc k=" << k << " @" << i;
     }
   }
 }
@@ -786,30 +856,24 @@ TEST(IncrementalTieBreaks, LatestOrderPinnedAtFullAndSmallK) {
   alive[4].id = 104;
   const std::vector<std::size_t> want_prefix = {11, 3, 4};
   const std::vector<std::size_t> full_ref = refimpl::by_latest_arrival(alive);
+  // Admitted in index order, so the tied releases arrive out of order
+  // and take the binary-search insert.
   IncrementalOrders inc = build_inc(alive);
-  std::vector<std::size_t> got(alive.size());
   for (const std::size_t k : {std::size_t{3}, alive.size()}) {
-    inc.fill_latest(k, got.data());
+    const auto got = inc.latest_prefix(k);
+    ASSERT_EQ(got.size(), k);
     for (std::size_t i = 0; i < want_prefix.size(); ++i) {
       EXPECT_EQ(got[i], want_prefix[i]) << "k=" << k << " position " << i;
     }
     for (std::size_t i = 0; i < k; ++i) {
       EXPECT_EQ(got[i], full_ref[i]) << "refimpl k=" << k << " @" << i;
     }
-    ContextCache cache;
-    cache.invalidate();
-    SchedulerContext cached(0.0, 4, alive, &cache);
-    const auto cache_span = cached.latest_arrivals(k);
-    ASSERT_EQ(cache_span.size(), k);
-    for (std::size_t i = 0; i < k; ++i) {
-      EXPECT_EQ(cache_span[i], got[i]) << "cache vs inc k=" << k << " @" << i;
-    }
   }
 }
 
 TEST(IncrementalTieBreaks, TieOrderSurvivesChurn) {
   // After updates drive fresh ties into existence and removals shuffle
-  // slots, the heap must still break ties exactly like refimpl.
+  // slots, both orders must still break ties exactly like refimpl.
   std::vector<AliveJob> alive = tie_heavy_alive();
   IncrementalOrders inc = build_inc(alive);
   // Tie three more jobs at remaining = 1.0 (equal release, id decides).
@@ -824,10 +888,16 @@ TEST(IncrementalTieBreaks, TieOrderSurvivesChurn) {
   alive[9] = alive[last];
   alive.pop_back();
   const std::vector<std::size_t> ref = refimpl::by_remaining(alive);
-  std::vector<std::size_t> got(alive.size());
-  inc.fill_srpt(alive, alive.size(), got.data());
+  const auto got = inc.srpt_prefix(alive, alive.size());
+  ASSERT_EQ(got.size(), alive.size());
   for (std::size_t i = 0; i < alive.size(); ++i) {
     EXPECT_EQ(got[i], ref[i]) << "position " << i;
+  }
+  const std::vector<std::size_t> lref = refimpl::by_latest_arrival(alive);
+  const auto lgot = inc.latest_prefix(alive.size());
+  ASSERT_EQ(lgot.size(), alive.size());
+  for (std::size_t i = 0; i < alive.size(); ++i) {
+    EXPECT_EQ(lgot[i], lref[i]) << "latest position " << i;
   }
   inc.audit(alive);
 }

@@ -513,6 +513,46 @@ TEST(RunStats, CollectedWhenEnabled) {
   EXPECT_LE(s.decide_seconds + s.solver_seconds + s.observer_seconds,
             s.wall_seconds + 1e-6);
   EXPECT_GT(s.wall_seconds, 0.0);
+
+  // The alive-count bounds cover the dense-alive and backlog range: a
+  // 10^5-job sample lands in a finite bucket, not in +Inf, and the
+  // bounds are every power of two from 1 up.
+  const std::vector<double> bounds = obs::alive_count_bounds();
+  obs::HistogramData h(bounds);
+  h.add(1e5);
+  EXPECT_EQ(h.counts.back(), 0u) << "10^5 fell into the +Inf bucket";
+  ASSERT_FALSE(bounds.empty());
+  EXPECT_EQ(bounds.front(), 1.0);
+  for (std::size_t i = 1; i < bounds.size(); ++i) {
+    EXPECT_EQ(bounds[i], 2.0 * bounds[i - 1]) << "bound " << i;
+  }
+}
+
+// Admissions are solver work wherever they run: the bulk release of a
+// streamed backlog on the first advance_to() happens in the idle branch,
+// before any decision step, and must still land in a bucket.
+TEST(RunStats, StreamedBacklogAdmissionIsCharged) {
+  constexpr int kJobs = 100'000;
+  IntermediateSrpt sched;
+  EngineConfig ec;
+  ec.collect_stats = true;
+  Engine eng(16, ec);
+  eng.begin(sched);
+  for (int i = 0; i < kJobs; ++i) {
+    eng.admit(make_job(i, 0.0, 1.0 + (i % 97) / 97.0, 0.5));
+  }
+  const obs::RunStats& s = *eng.partial().stats;
+  const auto buckets = [&s] {
+    return s.decide_seconds + s.solver_seconds + s.observer_seconds;
+  };
+  const double before = buckets();
+  const double t0 = obs::monotonic_seconds();
+  eng.advance_to(0.0);
+  const double wall = obs::monotonic_seconds() - t0;
+  EXPECT_EQ(eng.alive_count(), static_cast<std::size_t>(kJobs));
+  EXPECT_GE(buckets() - before, 0.5 * wall)
+      << "advance_to(0) took " << wall << " s, buckets grew by "
+      << buckets() - before << " s";
 }
 
 TEST(RunStats, EngineMirrorsCountersIntoRegistry) {

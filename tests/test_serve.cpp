@@ -315,12 +315,12 @@ TEST(Snapshot, ImportRejectsMismatchedEngineConfig) {
   }
 
   // Config knobs outside the decision arithmetic are deliberately not
-  // checked: a matching engine with the context cache disabled imports
-  // fine and continues bit-identically to the donor (the cache is pure
-  // mechanism).
-  EngineConfig uncached;
-  uncached.use_context_cache = false;
-  Engine host(3, uncached);
+  // checked: a matching engine with profiling switched on imports fine
+  // and continues bit-identically to the donor (profiling is pure
+  // measurement).
+  EngineConfig profiled;
+  profiled.collect_stats = true;
+  Engine host(3, profiled);
   auto host_sched = make_scheduler("isrpt");
   host.import_state(state, *host_sched);
   auto tail = [&jobs](Engine& e) {

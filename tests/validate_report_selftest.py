@@ -100,9 +100,8 @@ def e11_report(drop_table=None, drop_column=None):
         },
         {
             "name": "incremental_orders",
-            "columns": ["n", "decisions_per_sec_incremental",
-                        "decide_speedup"],
-            "rows": [[100000, 1600.0, 16.0]],
+            "columns": ["n", "decisions_per_sec_incremental"],
+            "rows": [[100000, 1600.0]],
         },
         {
             "name": "flight_recorder_overhead",

@@ -21,7 +21,7 @@ Gates extracted from a report:
     (higher is better), keyed by the row's n;
   * the `decisions_per_sec_incremental` column of an
     `incremental_orders` table row (higher is better), keyed by n — the
-    incremental-heaps arm must not lose ground against the clock;
+    engine's persistent orders must not lose ground against the clock;
   * the `mean_ms` / `p50_ms` / `p95_ms` / `p99_ms` columns of a
     `client_latency` table (lower is better);
   * the `p50_ms` / `p95_ms` / `p99_ms` columns of a `cluster_latency`
@@ -33,8 +33,8 @@ Gates extracted from a report:
   * the `overhead_pct` column of a `flight_recorder_overhead` table is
     an ABSOLUTE cap (<= 3.0), not a relative band — the recorder budget
     holds against the candidate alone, whatever the baseline measured;
-  * the `decide_speedup` column of an `incremental_orders` table is an
-    ABSOLUTE floor (>= 5.0), not a relative band: the paired
+  * the `fast_speedup` column of a `rate_kernel` table's shared-population
+    rows is an ABSOLUTE floor (>= 2.0), not a relative band: the paired
     same-machine ratio is machine-independent (it would skew the
     --auto-scale calibration as a relative gate), and the acceptance
     bar holds against the candidate alone.
@@ -85,9 +85,6 @@ RUN_EXACT_FIELDS = (
 # direction: "higher" = higher is better, "lower" = lower is better.
 TABLE_GATES = {
     "dense_alive": ("n", [("decisions_per_sec", "higher")]),
-    # decide_speedup deliberately absent here: a same-machine paired
-    # ratio is machine-independent and would skew --auto-scale; it is
-    # gated by the absolute floor below instead.
     "incremental_orders": (
         "n",
         [("decisions_per_sec_incremental", "higher")],
@@ -122,8 +119,8 @@ TABLE_GATES = {
     ),
     # Rate-kernel microbenchmark (scalar vs batch vs fast arms over the
     # SoA flat arrays). The speedup columns are paired same-machine
-    # ratios — gated by the absolute floor below, not here, for the same
-    # reason as decide_speedup.
+    # ratios — machine-independent, so a relative gate would skew
+    # --auto-scale; they are gated by the absolute floor below instead.
     "rate_kernel": (
         "case",
         [
@@ -146,7 +143,6 @@ TABLE_CAPS = {
 # rows the floor applies to — the fast-kernel 2x bar holds only where
 # the shared-(x, α) memo can fire, not on mixed populations.
 TABLE_FLOORS = {
-    "incremental_orders": ("decide_speedup", 5.0, None),
     "rate_kernel": ("fast_speedup", 2.0, ("population", "shared")),
 }
 
