@@ -73,25 +73,26 @@ BENCHMARK(BM_Equi)->Arg(1000)->Arg(10000)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Greedy)->Arg(1000)->Arg(10000)->Unit(benchmark::kMillisecond);
 
 // Dense-alive decision-rate workload: n jobs all released at t = 0, so
-// essentially the whole instance stays alive until the end and every
-// decision step pays the full O(n) cost — the worst case the engine
-// hot-path work (reusable scratch buffers, persistent memoized orders,
-// heap top-k traversal, the FlowQ fast advance arm, and the sparse
-// completion sweep) was aimed at. ISRPT serves min(n, m) jobs per
-// decision, leaving the rest rate-0: exactly the dense mostly-idle
+// essentially the whole instance stays alive until the end — the regime
+// the engine hot-path work (reusable scratch buffers, persistent
+// memoized orders, heap top-k traversal, sparse decision steps, and the
+// sparse completion sweep) was aimed at. ISRPT serves min(n, m) jobs per
+// decision, leaving the rest idle: exactly the dense mostly-idle
 // regime. Sizes are deterministic (no RNG dependency) and distinct, so
 // SRPT orders have no ties and every completion is a separate event.
+Job dense_alive_job(std::size_t i) {
+  Job j;
+  j.id = static_cast<JobId>(i);
+  j.release = 0.0;
+  j.size = 1.0 + static_cast<double>((i * 7919u) % 99991u) / 99991.0;
+  j.curve = SpeedupCurve::power_law(0.5);
+  return j;
+}
+
 Instance dense_alive_instance(std::size_t n) {
   std::vector<Job> jobs;
   jobs.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    Job j;
-    j.id = static_cast<JobId>(i);
-    j.release = 0.0;
-    j.size = 1.0 + static_cast<double>((i * 7919u) % 99991u) / 99991.0;
-    j.curve = SpeedupCurve::power_law(0.5);
-    jobs.push_back(j);
-  }
+  for (std::size_t i = 0; i < n; ++i) jobs.push_back(dense_alive_job(i));
   return Instance(16, jobs);
 }
 
@@ -246,11 +247,12 @@ Table measure_dense_alive() {
 // dense instance once and advances in small exact steps until `target`
 // decisions have executed.
 //
-// Two figures per row:
+// Admission and the first decision (t = 0, where the SRPT heap is first
+// built) run before the clock starts, so a row times steady-state steps
+// only. Two figures per row:
 //   * decisions_per_sec_incremental — full decision steps (allocate +
-//     rates + advance sweep). The advance sweep's serial fractional-flow
-//     accumulation is an O(n) bit-semantic floor, so this is bounded by
-//     the sweep, not the orders.
+//     rates + advance sweep). With sparse steps the sweep touches the m
+//     running jobs, so this is bounded by the orders, not by n.
 //   * decide_incremental_seconds — the Scheduler::allocate() bucket alone
 //     (RunStats::decide_seconds), where the ordering queries live.
 struct DenseDriveSample {
@@ -267,6 +269,9 @@ DenseDriveSample drive_dense_bounded(const Instance& inst,
   Engine eng(inst.machines(), cfg);
   eng.begin(*sched);
   for (const Job& j : inst.jobs()) eng.admit(j);
+  eng.advance_to(0.0);
+  const double decide0 = eng.partial().stats->decide_seconds;
+  const std::uint64_t decisions0 = eng.partial().decisions;
   // Sizes are >= 1, so no completion exists before t = 1; fast-forward
   // near the completion front, then creep across it in dt steps. Each
   // step past the front executes the decisions of every completion
@@ -274,14 +279,14 @@ DenseDriveSample drive_dense_bounded(const Instance& inst,
   double t = 0.875;
   const double t0 = obs::monotonic_seconds();
   eng.advance_to(t);
-  while (eng.partial().decisions < target && !eng.drained()) {
+  while (eng.partial().decisions - decisions0 < target && !eng.drained()) {
     t += dt;
     eng.advance_to(t);
   }
   DenseDriveSample s;
   s.wall_seconds = obs::monotonic_seconds() - t0;
-  s.decisions = eng.partial().decisions;
-  s.decide_seconds = eng.partial().stats->decide_seconds;
+  s.decisions = eng.partial().decisions - decisions0;
+  s.decide_seconds = eng.partial().stats->decide_seconds - decide0;
   return s;  // the unfinished run is abandoned with the engine
 }
 
@@ -295,8 +300,8 @@ Table measure_incremental_orders() {
     double dt;             ///< creep step across the completion front
   };
   constexpr RowSpec kRowSpecs[] = {
-      {100'000, 320, 1e-3},
-      {1'000'000, 48, 1e-4},
+      {100'000, 3200, 1e-3},
+      {1'000'000, 3200, 1e-3},
   };
   for (const RowSpec& spec : kRowSpecs) {
     const Instance inst = dense_alive_instance(spec.n);
@@ -308,6 +313,77 @@ Table measure_incremental_orders() {
                 inc.decide_seconds});
   }
   return io;
+}
+
+// ---- Sparse decision steps ----------------------------------------------
+//
+// The cost of one decision step by policy and backlog size. n dense-alive
+// jobs are admitted and released at t = 0 before the clock starts; then
+// one arrival at a time (size 1.5, spaced 1e-3) is admitted and
+// advance_to() its release, so every arrival is one decision. A row runs
+// until 0.25 s and at least 5 steps, at most 4000. Reported per step: the
+// wall time and the jobs the advance sweep touched
+// (RunStats::visited_jobs). ISRPT and Par-SRPT run at most m jobs, so
+// neither figure may grow with n; LAPS and EQUI run Θ(n). The structural
+// bound — ISRPT visits at most m + 2 jobs per step at n = 10^6 — is
+// asserted here; it is a count, not a timing, so it holds on any host.
+struct SparseStepSample {
+  std::uint64_t steps = 0;
+  double us_per_step = 0.0;
+  double visited_per_step = 0.0;
+};
+
+SparseStepSample drive_sparse_step(const std::string& policy, std::size_t n) {
+  constexpr int kMachines = 16;
+  auto sched = make_scheduler(policy);
+  EngineConfig cfg;
+  cfg.collect_stats = true;
+  Engine eng(kMachines, cfg);
+  eng.begin(*sched);
+  for (std::size_t i = 0; i < n; ++i) eng.admit(dense_alive_job(i));
+  eng.advance_to(0.0);
+  const SimResult& live = eng.partial();
+  const std::uint64_t decisions0 = live.decisions;
+  const std::uint64_t visited0 = live.stats->visited_jobs;
+  const double t0 = obs::monotonic_seconds();
+  double wall = 0.0;
+  for (std::size_t k = 0; (wall < 0.25 || k < 5) && k < 4000; ++k) {
+    Job j;
+    j.id = static_cast<JobId>(n + k);
+    j.release = 1e-3 * static_cast<double>(k + 1);
+    j.size = 1.5;
+    j.curve = SpeedupCurve::power_law(0.5);
+    eng.admit(j);
+    eng.advance_to(j.release);
+    wall = obs::monotonic_seconds() - t0;
+  }
+  SparseStepSample s;
+  s.steps = live.decisions - decisions0;
+  s.us_per_step = wall * 1e6 / static_cast<double>(s.steps);
+  s.visited_per_step = static_cast<double>(live.stats->visited_jobs -
+                                           visited0) /
+                       static_cast<double>(s.steps);
+  if (policy == "isrpt" && n >= 1'000'000) {
+    PARSCHED_CHECK(s.visited_per_step <= kMachines + 2,
+                   "isrpt decision steps visit more than m + 2 jobs");
+  }
+  return s;
+}
+
+Table measure_sparse_step() {
+  Table ss({"case", "policy", "n", "steps", "us_per_step",
+            "visited_per_step"},
+           4);
+  for (const char* policy : {"isrpt", "par-srpt", "laps:0.5", "equi"}) {
+    for (const std::size_t n : {10'000u, 100'000u, 1'000'000u}) {
+      const SparseStepSample s = drive_sparse_step(policy, n);
+      ss.add_row({std::string(policy) + "/" + std::to_string(n), policy,
+                  static_cast<std::int64_t>(n),
+                  static_cast<std::int64_t>(s.steps), s.us_per_step,
+                  s.visited_per_step});
+    }
+  }
+  return ss;
 }
 
 // ---- Rate-kernel microbenchmark (PR 10) ---------------------------------
@@ -551,6 +627,11 @@ void emit_perf_report() {
                "bounded-decision drive) ===\n";
   io.print(std::cout);
   report.add_table("incremental_orders", io);
+  const Table ss = measure_sparse_step();
+  std::cout << "\n=== E11: sparse decision steps (m=16, n-job backlog, one "
+               "arrival per step) ===\n";
+  ss.print(std::cout);
+  report.add_table("sparse_step", ss);
   const Table ro = measure_recorder_overhead();
   std::cout << "\n=== E11: flight-recorder overhead (isrpt, dense-alive, "
                "4096-slot ring) ===\n";

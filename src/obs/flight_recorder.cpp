@@ -1,5 +1,6 @@
 #include "obs/flight_recorder.hpp"
 
+#include <bit>
 #include <charconv>
 #include <cmath>
 #include <ostream>
@@ -86,13 +87,14 @@ std::string_view flight_event_name(FlightEvent ev) {
 }
 
 FlightRecorder::FlightRecorder(std::size_t capacity)
-    : slots_(capacity == 0 ? 1 : capacity) {}
+    : slots_(capacity == 0 ? 1 : capacity),
+      mask_(std::has_single_bit(slots_.size()) ? slots_.size() - 1 : 0) {}
 
 void FlightRecorder::record(FlightEvent kind, std::uint64_t id, double t,
                             double v, std::uint32_t a) noexcept {
   const std::uint64_t ticket =
       next_.fetch_add(1, std::memory_order_acq_rel);
-  Slot& s = slots_[static_cast<std::size_t>(ticket % slots_.size())];
+  Slot& s = slots_[slot_of(ticket)];
   // Seqlock publish: odd while writing, ticket-derived even when done.
   // Field stores are relaxed atomics — two writers lapping each other on
   // the same slot interleave benignly and the reader's state re-check
@@ -113,7 +115,7 @@ std::vector<FlightRecorder::Event> FlightRecorder::snapshot() const {
   std::vector<Event> events;
   events.reserve(static_cast<std::size_t>(end - start));
   for (std::uint64_t ticket = start; ticket < end; ++ticket) {
-    const Slot& s = slots_[static_cast<std::size_t>(ticket % cap)];
+    const Slot& s = slots_[slot_of(ticket)];
     if (s.state.load(std::memory_order_acquire) != 2 * ticket + 2) {
       continue;  // not yet published, or already being overwritten
     }

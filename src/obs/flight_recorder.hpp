@@ -127,7 +127,16 @@ class FlightRecorder {
     std::atomic<double> v{0.0};
   };
 
+  /// The slot a ticket lands in. A power-of-two capacity (every one the
+  /// engine and serve layers use) takes a mask instead of a division,
+  /// which was a third of record()'s cost.
+  [[nodiscard]] std::size_t slot_of(std::uint64_t ticket) const {
+    return static_cast<std::size_t>(mask_ != 0 ? ticket & mask_
+                                               : ticket % slots_.size());
+  }
+
   std::vector<Slot> slots_;
+  std::uint64_t mask_;  ///< capacity − 1 for a power-of-two capacity, else 0
   std::atomic<std::uint64_t> next_{0};
   std::string dump_path_;
 };

@@ -94,6 +94,7 @@ void write_run_stats(JsonWriter& w, const RunStats& s) {
   w.kv("decisions", s.decisions);
   w.kv("arrivals", s.arrivals);
   w.kv("completions", s.completions);
+  w.kv("visited_jobs", s.visited_jobs);
   w.key("decision_interval");
   write_histogram(w, s.decision_interval);
   w.key("alive_count");

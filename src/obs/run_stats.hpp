@@ -50,6 +50,10 @@ struct RunStats {
   std::uint64_t decisions = 0;
   std::uint64_t arrivals = 0;
   std::uint64_t completions = 0;
+  /// Jobs the advance sweeps touched: the running jobs of every decision
+  /// plus each fresh job with a rate-0 event. Idle jobs are not visited,
+  /// so an SRPT-style run stays near m per decision at any backlog.
+  std::uint64_t visited_jobs = 0;
 
   /// Simulated time between consecutive decision points.
   HistogramData decision_interval{decision_interval_bounds()};

@@ -28,36 +28,51 @@ double pwl_rate_from_alive(const void* ctx, std::size_t i, double x) {
   return alive[i].curve.rate(x);
 }
 
+/// A job has a pending rate-0 event when it would complete, or advance a
+/// phase, on its first visit without being served: only fresh admissions
+/// can (a swept survivor is above tolerance on both counts).
+bool has_rate0_event(const AliveJob& a, double phase_remaining, double ctol) {
+  const double tol = ctol * std::max(1.0, a.size);
+  return a.remaining <= tol ||
+         (a.phase + 1 < a.phases.size() && phase_remaining <= tol);
+}
+
+/// Flag bit striking out a due_ entry whose job runs this step (and is
+/// visited as such). The position bits stay, so the list stays sorted.
+constexpr std::size_t kStruck = std::size_t{1} << 63;
+
+template <typename T>
+void grow(std::vector<T>& v, std::size_t n) {
+  if (v.capacity() < n) v.reserve(std::max(n, v.capacity() * 2));
+}
+
 }  // namespace
 
 void AliveSoA::clear() {
   remaining.clear();
-  release.clear();
+  size.clear();
+  phase_remaining.clear();
   alpha.clear();
   kind.clear();
-  alloc.clear();
-  rate.clear();
+  qfix.clear();
 }
 
 void AliveSoA::reserve(std::size_t n) {
-  const auto grow = [n](auto& v) {
-    if (v.capacity() < n) v.reserve(std::max(n, v.capacity() * 2));
-  };
-  grow(remaining);
-  grow(release);
-  grow(alpha);
-  grow(kind);
-  grow(alloc);
-  grow(rate);
+  grow(remaining, n);
+  grow(size, n);
+  grow(phase_remaining, n);
+  grow(alpha, n);
+  grow(kind, n);
+  grow(qfix, n);
 }
 
 void AliveSoA::push_back(const AliveJob& a) {
   remaining.push_back(a.remaining);
-  release.push_back(a.release);
+  size.push_back(a.size);
+  phase_remaining.push_back(a.phase_remaining);
   alpha.push_back(a.curve.alpha());
   kind.push_back(static_cast<std::uint8_t>(a.curve.kind()));
-  alloc.push_back(0.0);
-  rate.push_back(0.0);
+  qfix.push_back(to_qfix(a.remaining / a.size));
 }
 
 void AliveSoA::set_curve(std::size_t i, const SpeedupCurve& curve) {
@@ -68,20 +83,20 @@ void AliveSoA::set_curve(std::size_t i, const SpeedupCurve& curve) {
 void AliveSoA::swap_remove(std::size_t i, std::size_t last) {
   if (i == last) return;
   remaining[i] = remaining[last];
-  release[i] = release[last];
+  size[i] = size[last];
+  phase_remaining[i] = phase_remaining[last];
   alpha[i] = alpha[last];
   kind[i] = kind[last];
-  alloc[i] = alloc[last];
-  rate[i] = rate[last];
+  qfix[i] = qfix[last];
 }
 
 void AliveSoA::resize(std::size_t n) {
   remaining.resize(n);
-  release.resize(n);
+  size.resize(n);
+  phase_remaining.resize(n);
   alpha.resize(n);
   kind.resize(n);
-  alloc.resize(n);
-  rate.resize(n);
+  qfix.resize(n);
 }
 
 void AliveSoA::rebuild(std::span<const AliveJob> alive) {
@@ -90,29 +105,56 @@ void AliveSoA::rebuild(std::span<const AliveJob> alive) {
   for (const AliveJob& a : alive) push_back(a);
 }
 
-// PARSCHED_AUDIT cross-check: every flat array must mirror the
-// authoritative AliveJob records bit-for-bit. A divergence means a sync
-// site (admit / advance / phase change / completion swap / restore) was
-// missed, and trips here at the step that caused it rather than
-// surfacing later as a wrong rate.
+// PARSCHED_AUDIT cross-check: every column the records also hold must
+// mirror them bit-for-bit, qfix must be the coefficient of the job's
+// current remaining work, and q_all_ their exact sum. A divergence means a
+// sync site (admit / advance / phase change / completion swap / restore)
+// was missed, and trips here at the step that caused it rather than
+// surfacing later as a wrong rate or flow. (phase_remaining has no record
+// to mirror: the columns hold the authoritative copy.)
 void Engine::audit_soa() const {
   const std::size_t n = alive_.size();
-  PARSCHED_CHECK(soa_.size() == n, "SoA mirror size diverged from alive set");
-  PARSCHED_CHECK(soa_.alloc.size() == n && soa_.rate.size() == n,
-                 "SoA scratch arrays diverged from alive set");
+  PARSCHED_CHECK(soa_.count() == n && soa_.size.size() == n &&
+                     soa_.phase_remaining.size() == n &&
+                     soa_.alpha.size() == n && soa_.kind.size() == n &&
+                     soa_.qfix.size() == n,
+                 "SoA columns diverged from alive set size");
+  const auto same = [](double a, double b) {
+    return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+  };
+  QSum q = 0;
   for (std::size_t i = 0; i < n; ++i) {
     const AliveJob& a = alive_[i];
-    PARSCHED_CHECK(std::bit_cast<std::uint64_t>(soa_.remaining[i]) ==
-                       std::bit_cast<std::uint64_t>(a.remaining),
+    PARSCHED_CHECK(same(soa_.remaining[i], a.remaining),
                    "SoA remaining diverged from alive job");
-    PARSCHED_CHECK(std::bit_cast<std::uint64_t>(soa_.release[i]) ==
-                       std::bit_cast<std::uint64_t>(a.release),
-                   "SoA release diverged from alive job");
-    PARSCHED_CHECK(std::bit_cast<std::uint64_t>(soa_.alpha[i]) ==
-                       std::bit_cast<std::uint64_t>(a.curve.alpha()),
+    PARSCHED_CHECK(same(soa_.size[i], a.size),
+                   "SoA size diverged from alive job");
+    PARSCHED_CHECK(same(soa_.alpha[i], a.curve.alpha()),
                    "SoA alpha diverged from alive job");
     PARSCHED_CHECK(soa_.kind[i] == static_cast<std::uint8_t>(a.curve.kind()),
                    "SoA curve kind diverged from alive job");
+    PARSCHED_CHECK(soa_.qfix[i] == to_qfix(a.remaining / a.size),
+                   "SoA qfix diverged from the job's remaining work");
+    q += soa_.qfix[i];
+  }
+  PARSCHED_CHECK(q == q_all_, "fractional-flow sum diverged from sum of qfix");
+}
+
+void Engine::audit_support() const {
+  const Allocation& alloc = cached_alloc_;
+  if (alloc.dense()) return;
+  const std::span<const double> shares = alloc.shares();
+  std::vector<std::uint8_t> seen(shares.size(), 0);
+  for (const std::size_t i : alloc.support()) {
+    PARSCHED_CHECK(i < shares.size(), "support index out of range");
+    PARSCHED_CHECK(seen[i] == 0, "support lists a job twice");
+    PARSCHED_CHECK(shares[i] != 0.0,  // lint: float-eq-ok
+                   "support lists a job without a share");
+    seen[i] = 1;
+  }
+  for (std::size_t i = 0; i < shares.size(); ++i) {
+    PARSCHED_CHECK(seen[i] != 0 || shares[i] == 0.0,  // lint: float-eq-ok
+                   "a nonzero share lies outside the support");
   }
 }
 
@@ -187,8 +229,10 @@ void Engine::begin_run(Scheduler& sched) {
   result_ = SimResult{};
   zero_dt_streak_ = 0;
   alloc_warm_n_ = 0;
-  flow_q_.clear();
   soa_.clear();
+  q_all_ = 0;
+  due_.clear();
+  visited_total_ = 0;
   orders_.clear();
   rates_valid_ = false;
   stats_ = nullptr;
@@ -216,6 +260,7 @@ void Engine::finalize_run() {
     reg.counter("engine.completions").inc(result_.records.size());
     reg.counter("engine.arrivals")
         .inc(result_.events - result_.records.size());
+    reg.counter("engine.visited_jobs").inc(visited_total_);
     if (stats_ != nullptr) {
       reg.timer("engine.run").add(stats_->wall_seconds);
       reg.timer("engine.decide").add(stats_->decide_seconds);
@@ -246,9 +291,25 @@ void Engine::record_failure(bool contract_trip, std::uint64_t id,
   cfg_.recorder->dump_to_file(reason);
 }
 
+void Engine::reserve_scratch() {
+  // Geometric growth, amortized O(1) per admission, paid here — outside
+  // the guarded scopes — so every per-step buffer (the SoA columns, the
+  // rates scratch, the completion list: each at most one entry per alive
+  // job) already has room when a decision step runs, even a
+  // mass-completion one.
+  const std::size_t n = alive_.size();
+  soa_.reserve(n);
+  grow(run_rate_, n);
+  grow(comp_idx_, n);
+  orders_.reserve(n);
+}
+
 void Engine::admit_job_now(Job j) {
   j.normalize_phases();
-  if (j.size <= 0.0) throw std::invalid_argument("nonpositive job size");
+  // Batch sources hand jobs straight to this point; a streamed job passed
+  // admit() already, but its size is only now derived from its phases
+  // (whose sum can overflow), so check again.
+  validate_job(j);
   AliveJob a;
   a.id = j.id;
   a.release = j.release;
@@ -262,24 +323,15 @@ void Engine::admit_job_now(Job j) {
   a.phase = 0;
   a.phase_remaining = j.phases.empty() ? j.size : j.phases[0].work;
   alive_.push_back(std::move(a));
-  flow_q_.push_back(FlowQ{});  // memo slot starts invalid
-  // SoA mirror: pre-pay growth (geometric, outside the guarded scopes),
-  // then append the new job's hot fields. alloc/rate slots start 0 and
-  // are overwritten by the next compute_rates().
-  soa_.reserve(alive_.size());
-  soa_.push_back(alive_.back());
-  // Keep the completion-scan scratch's capacity at least the alive count
-  // (geometric growth, amortized O(1) per admission): the fused advance
-  // sweep may push up to |alive| completed positions, and pre-paying the
-  // growth here — outside the guarded scopes — is what makes the sweep
-  // allocation-free even on mass-completion steps.
-  if (comp_idx_.capacity() < alive_.size()) {
-    comp_idx_.reserve(std::max(alive_.size(), comp_idx_.capacity() * 2));
+  reserve_scratch();
+  const AliveJob& added = alive_.back();
+  const std::size_t idx = alive_.size() - 1;
+  soa_.push_back(added);
+  q_all_ += soa_.qfix.back();
+  if (has_rate0_event(added, added.phase_remaining, cfg_.completion_tol)) {
+    due_.push_back(idx);
   }
-  // Same pre-payment for the ordering module (outside the guarded
-  // scopes), then enter the new job into both orders.
-  orders_.reserve(alive_.size());
-  orders_.insert(alive_.back(), alive_.size() - 1);
+  orders_.insert(added, idx);
   ++result_.events;
   if (cfg_.recorder != nullptr) {
     cfg_.recorder->record(obs::FlightEvent::kAdmit,
@@ -326,56 +378,77 @@ void Engine::release_due() {
 }
 
 PARSCHED_HOT void Engine::compute_rates(bool validate) {
-  // The decision's shares → rates pass, restructured over the SoA
-  // mirror: (1) a validation+copy sweep moves the shares into the dense
-  // soa_.alloc array, (2) one batched kernel call evaluates every
-  // Γ_i(x_i) into soa_.rate, (3) a dense scan derives the earliest
-  // phase end and the nonzero-rate count. The split is bit-neutral
-  // against the old fused scalar loop: the default kernel arm computes
-  // `speed * Γ(s)` with the exact per-element arithmetic rate() used
-  // (a zero share yields speed * 0.0 == +0.0, the same bits the old
-  // skip wrote), validation still sees every share before any throw
-  // escapes, and dt_complete minimizes over the same values in the
-  // same index order. soa_.alloc/rate are engine scratch sized at
-  // admission, so nothing here resizes — the AllocGuard fence around
-  // this call stays armed.
+  // The decision's shares → rates pass, over the allocation's support
+  // only: validate and sum the given shares, evaluate Γ_i(x_i) through
+  // the batch kernels (the same per-element arithmetic as the scalar
+  // SpeedupCurve::rate()), and keep the running jobs for the event-time
+  // scan and the advance sweep. A job outside the support has share +0.0,
+  // hence rate +0.0, and nothing here needs to look at it. Every buffer
+  // is engine scratch sized at admission, so nothing here reallocates —
+  // the AllocGuard fence around this call stays armed.
   const Allocation& alloc = cached_alloc_;
-  const std::size_t n = alive_.size();
-  double sum = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double s = alloc.shares[i];
+  const std::span<const double> shares = alloc.shares();
+  const auto checked = [&](double s) {
     if (validate && !(s >= 0.0)) {
       throw std::logic_error("negative share from policy " +  // lint: alloc-ok
                              sched_->name());
     }
-    sum += s;
-    soa_.alloc[i] = s;
-  }
-  if (validate && sum > static_cast<double>(m_) * (1.0 + 1e-9) + 1e-9) {
-    throw std::logic_error("overcommitted shares from " +  // lint: alloc-ok
-                           sched_->name());
-  }
+    return s;
+  };
+  const auto check_total = [&](double total) {
+    if (validate && total > static_cast<double>(m_) * (1.0 + 1e-9) + 1e-9) {
+      throw std::logic_error("overcommitted shares from " +  // lint: alloc-ok
+                             sched_->name());
+    }
+  };
   const speedup::PwlRateFn pwl{&pwl_rate_from_alive, alive_.data()};
-  if (cfg_.fast_rate_kernel) {
-    speedup::rate_batch_fast(soa_.kind, soa_.alpha, soa_.alloc, cfg_.speed,
-                             soa_.rate, pwl);
-  } else {
-    speedup::rate_batch(soa_.kind, soa_.alpha, soa_.alloc, cfg_.speed,
-                        soa_.rate, pwl);
-  }
+  double sum = 0.0;
   double dt_complete = kInf;
-  std::size_t nonzero = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double r = soa_.rate[i];
+  std::size_t running = 0;
+  run_dense_ = alloc.dense();
+  if (run_dense_) {
+    // fill(): every alive job holds the share, so the kernels run straight
+    // over the columns and run_rate_ is indexed by alive position.
+    const std::size_t n = shares.size();
+    for (std::size_t i = 0; i < n; ++i) sum += checked(shares[i]);
+    check_total(sum);
+    run_rate_.resize(n);
+    if (cfg_.fast_rate_kernel) {
+      speedup::rate_batch_fast(soa_.kind, soa_.alpha, shares, cfg_.speed,
+                               run_rate_, pwl);
+    } else {
+      speedup::rate_batch(soa_.kind, soa_.alpha, shares, cfg_.speed,
+                          run_rate_, pwl);
+    }
+  } else {
+    // give(): run_rate_ is aligned with the support, which stays frozen
+    // in cached_alloc_ for as long as the decision does.
+    const std::span<const std::size_t> support = alloc.support();
+    for (const std::size_t i : support) sum += checked(shares[i]);
+    check_total(sum);
+    run_rate_.resize(support.size());
+    if (cfg_.fast_rate_kernel) {
+      speedup::rate_gather_fast(support, soa_.kind, soa_.alpha, shares,
+                                cfg_.speed, run_rate_, pwl);
+    } else {
+      speedup::rate_gather(support, soa_.kind, soa_.alpha, shares, cfg_.speed,
+                           run_rate_, pwl);
+    }
+  }
+  // The end of the current *phase* is the next per-job event (for a
+  // single-phase job, its completion). The minimum is order-independent,
+  // so taking it in support order gives the bits an index-order scan
+  // would.
+  for (std::size_t j = 0; j < run_rate_.size(); ++j) {
+    const double r = run_rate_[j];
     if (r > 0.0) {
-      ++nonzero;
-      // The end of the current *phase* is the next per-job event (for a
-      // single-phase job that is its completion).
-      dt_complete = std::min(dt_complete, alive_[i].phase_remaining / r);
+      ++running;
+      dt_complete =
+          std::min(dt_complete, soa_.phase_remaining[run_index(j)] / r);
     }
   }
   dt_complete_ = dt_complete;
-  rates_nonzero_ = nonzero;
+  rates_nonzero_ = running;
   rates_valid_ = true;
 }
 
@@ -411,13 +484,14 @@ PARSCHED_HOT Engine::Step Engine::decision_step(double t_arrive,
       stats_->decide_seconds += t_section - t_decide0;
       stats_->alive_count.add(static_cast<double>(alive_.size()));
     }
-    if (cached_alloc_.shares.size() != alive_.size()) {
+    if (cached_alloc_.size() != alive_.size()) {
       fence.reset();
       throw std::logic_error("allocation size mismatch from policy " +
                              sched_->name());
     }
     compute_rates(cfg_.validate_allocations);
     fence.reset();
+    if (audit_allocs_) audit_support();
     alloc_warm_n_ = std::max(alloc_warm_n_, alive_.size());
     if (stats_ != nullptr) {
       const double t = obs::monotonic_seconds();
@@ -425,7 +499,7 @@ PARSCHED_HOT Engine::Step Engine::decision_step(double t_arrive,
       t_section = t;
     }
     for (Observer* obs : observers_) {
-      obs->on_decision(now_, alive_, cached_alloc_.shares);
+      obs->on_decision(now_, alive_, cached_alloc_.shares());
     }
     if (stats_ != nullptr) {
       const double t = obs::monotonic_seconds();
@@ -465,21 +539,18 @@ PARSCHED_HOT Engine::Step Engine::decision_step(double t_arrive,
   // Advance remaining work and the fractional-flow integral, move
   // multi-phase jobs whose current phase drained to the next phase (which
   // exposes its speedup curve to the policy from now on), and detect
-  // completions. One fused pass: every operation is per-job, so the
-  // fractional_flow accumulation order — index order, which is
-  // FP-semantic — is unchanged from the old separate advance, phase and
-  // completion-scan loops.
-  //
-  // The fast arm below is a bit-exact replay of the full arm for a
-  // settled rate-0 job, not an approximation of it: with r == 0 every
-  // update in the full arm is the identity (see the FlowQ invariants in
-  // engine.hpp — the phase-advance condition and the completion compare
-  // are constant-false on a survivor while its rate stays 0), and the
-  // flow increment 0.5*(r+r)/size*dt reuses the cached division result
-  // for the job's exact current remaining.
+  // completions. The sweep visits only the jobs that move — the running
+  // set compute_rates() kept — plus the due list (fresh jobs with a
+  // rate-0 event). An idle job's remaining work, phase and completion
+  // state cannot change, and its fractional-flow term is its qfix, which
+  // q_all_ already sums: the step adds
+  //   (q_all_ − Σ_visited qfix_old + Σ_visited c) · 2⁻⁶² · dt
+  // with c the visited job's trapezoid coefficient 0.5·(r + r')/size in
+  // fixed point. The integer sum is exact, so the result does not depend
+  // on the order jobs are visited in.
   bool phase_advanced = false;
   comp_idx_.clear();
-  // PARSCHED_AUDIT: the fused sweep is pure per-job arithmetic over
+  // PARSCHED_AUDIT: the sweep is pure per-job arithmetic over
   // capacity-stable buffers (comp_idx_ is pre-reserved at admission), so
   // on a warm step it must not allocate. Completion record-keeping below
   // is result accumulation, not scratch, and stays outside the fence.
@@ -507,64 +578,101 @@ PARSCHED_HOT Engine::Step Engine::decision_step(double t_arrive,
       srpt_eager = true;
     }
   }
-  for (std::size_t i = 0; i < alive_.size(); ++i) {
-    const double r = soa_.rate[i];
-    FlowQ& fq = flow_q_[i];
-    if (r == 0.0 && fq.needs_full == 0) {  // lint: float-eq-ok
-      result_.fractional_flow += fq.q * dt;
-      continue;
+  // The per-job arithmetic reads and writes the columns through raw
+  // pointers and sums into two local integers, so the dense (EQUI) loop
+  // stays in registers. A job whose phase or whole work fell within
+  // tolerance goes on comp_idx_ and is settled after the loop.
+  double* const rem = soa_.remaining.data();
+  double* const phase_rem = soa_.phase_remaining.data();
+  const double* const sizes = soa_.size.data();
+  std::int64_t* const qfix = soa_.qfix.data();
+  AliveJob* const jobs = alive_.data();
+  QSum flow_delta = 0;  // Σ (c − qfix_old) over visited jobs
+  QSum q_delta = 0;     // Σ (qfix_new − qfix_old) over visited jobs
+  std::size_t visited = 0;
+  const auto advance = [&](std::size_t i, double r)
+                           __attribute__((always_inline)) {
+    ++visited;
+    const double size = sizes[i];
+    const double before = rem[i];
+    const double after = std::max(0.0, before - r * dt);
+    const std::int64_t q_old = qfix[i];
+    const std::int64_t q_new = to_qfix(after / size);
+    flow_delta += to_qfix(0.5 * (before + after) / size) - q_old;
+    q_delta += q_new - q_old;
+    qfix[i] = q_new;
+    rem[i] = after;
+    jobs[i].remaining = after;
+    const double pr = std::max(0.0, phase_rem[i] - r * dt);
+    phase_rem[i] = pr;
+    const double tol = ctol * std::max(1.0, size);
+    if (std::min(pr, after) <= tol) comp_idx_.push_back(i);
+  };
+  if (run_dense_) {
+    const double* const rate = run_rate_.data();
+    for (std::size_t i = 0; i < alive_.size(); ++i) {
+      if (rate[i] != 0.0) advance(i, rate[i]);  // lint: float-eq-ok
     }
-    AliveJob& a = alive_[i];
-    double after;
-    if (r != 0.0) {  // lint: float-eq-ok
-      const double before = a.remaining;
-      after = std::max(0.0, before - r * dt);
-      result_.fractional_flow += 0.5 * (before + after) / a.size * dt;
-      a.remaining = after;
-      soa_.remaining[i] = after;
-      a.phase_remaining = std::max(0.0, a.phase_remaining - r * dt);
-      if (srpt_eager) orders_.update_remaining(i, after);
-    } else {
-      // First visit at rate 0 (admission / restore): same arithmetic as
-      // the r != 0 arm with the r*dt terms — exactly 0.0 here — elided.
-      const double before = a.remaining;
-      after = std::max(0.0, before);
-      result_.fractional_flow += 0.5 * (before + after) / a.size * dt;
-      a.remaining = after;
-      soa_.remaining[i] = after;
-      a.phase_remaining = std::max(0.0, a.phase_remaining);
+  } else {
+    // A due job that also runs is visited once, here, at its rate: strike
+    // it from the due list (ascending, and all due jobs are fresh, i.e. at
+    // the back of the alive order).
+    const std::span<const std::size_t> support = cached_alloc_.support();
+    const std::size_t due_lo = due_.empty() ? alive_.size() : due_.front();
+    for (std::size_t j = 0; j < support.size(); ++j) {
+      const double r = run_rate_[j];
+      if (r == 0.0) continue;  // lint: float-eq-ok
+      const std::size_t i = support[j];
+      advance(i, r);
+      if (i >= due_lo) {
+        const auto it = std::lower_bound(
+            due_.begin(), due_.end(), i,
+            [](std::size_t e, std::size_t v) { return (e & ~kStruck) < v; });
+        if (it != due_.end() && *it == i) *it |= kStruck;
+      }
     }
-    fq.q = 0.5 * (after + after) / a.size;
-    fq.needs_full = 0;
-    const double tol = ctol * std::max(1.0, a.size);
-    while (!a.phases.empty() && a.phase + 1 < a.phases.size() &&
-           a.phase_remaining <= tol) {
+  }
+  for (const std::size_t i : due_) {
+    if ((i & kStruck) != 0) continue;
+    if (run_dense_ && run_rate_[i] != 0.0) continue;  // lint: float-eq-ok
+    advance(i, 0.0);
+  }
+  due_.clear();  // a swept job has no rate-0 event left
+  if (srpt_eager) {
+    for (std::size_t j = 0; j < run_rate_.size(); ++j) {
+      if (run_rate_[j] != 0.0) {  // lint: float-eq-ok
+        const std::size_t i = run_index(j);
+        orders_.update_remaining(i, rem[i]);
+      }
+    }
+  }
+  // Settle the candidates: move a job whose phase drained to its next
+  // phase (exposing that phase's curve to the policy from now on), and
+  // keep the jobs that completed.
+  std::size_t n_done = 0;
+  for (const std::size_t i : comp_idx_) {
+    AliveJob& a = jobs[i];
+    const double tol = ctol * std::max(1.0, sizes[i]);
+    while (phase_rem[i] <= tol && a.phase + 1 < a.phases.size()) {
       ++a.phase;
-      a.phase_remaining = a.phases[a.phase].work;
+      phase_rem[i] = a.phases[a.phase].work;
       a.curve = a.phases[a.phase].curve;
-      // The new phase's curve is what the job responds to from now on:
-      // refresh the SoA (kind, alpha) mirror with it.
       soa_.set_curve(i, a.curve);
       phase_advanced = true;
     }
-    if (after <= tol) comp_idx_.push_back(i);
+    if (rem[i] <= tol) comp_idx_[n_done++] = i;
   }
+  comp_idx_.resize(n_done);
+  result_.fractional_flow +=
+      static_cast<double>(q_all_ + flow_delta) * 0x1p-62 * dt;
+  q_all_ += q_delta;
+  for (const std::size_t i : comp_idx_) q_all_ -= soa_.qfix[i];
+  // The swap-remove replay below walks the completed positions ascending.
+  std::sort(comp_idx_.begin(), comp_idx_.end());
+  visited_total_ += visited;
+  if (stats_ != nullptr) stats_->visited_jobs += visited;
   sweep_fence.reset();
   now_ += dt;
-
-  // Handle completions (anything within tolerance of zero). The removal
-  // order, the flow-total accumulation order, and the final alive_ order
-  // (which feeds the next decision's SchedulerContext) are all
-  // bit-semantic, so the sparse sweep below replays the original
-  // full-scan swap-remove loop move for move, visiting only the
-  // positions collected above: removing comp_idx_[lo] pulls the current
-  // back element into its slot, and if that element is itself complete —
-  // it is then necessarily comp_idx_[hi-1], the largest pending position
-  // — it is removed in place before the scan conceptually moves on,
-  // exactly as the original loop's stationary `i` did. Observer
-  // callbacks are lifted out of the sweep: they fire after it, in job-id
-  // order, so the notification order for simultaneous completions does
-  // not depend on swap-remove internals.
   const std::size_t first_new_record = result_.records.size();
   if (!comp_idx_.empty()) {
     std::size_t end = alive_.size();
@@ -598,12 +706,11 @@ PARSCHED_HOT Engine::Step Engine::decision_step(double t_arrive,
         --end;
         // Mirror the swap-remove into the orders: delete index i, remap
         // the back entry (alive index `end`) to i — the same move the
-        // alive_/flow_q_ lines below perform.
+        // alive_ line below performs.
         orders_.remove_swap(i, end);
         soa_.swap_remove(i, end);
         if (i == end) break;
         alive_[i] = std::move(alive_[end]);
-        flow_q_[i] = flow_q_[end];
         if (hi > lo && comp_idx_[hi - 1] == end) {
           --hi;  // the element swapped in is itself complete: remove in place
           continue;
@@ -612,7 +719,6 @@ PARSCHED_HOT Engine::Step Engine::decision_step(double t_arrive,
       }
     }
     alive_.resize(end);
-    flow_q_.resize(end);
     soa_.resize(end);
   }
   const std::size_t n_completed = result_.records.size() - first_new_record;
@@ -646,18 +752,23 @@ PARSCHED_HOT Engine::Step Engine::decision_step(double t_arrive,
   } else if (++zero_dt_streak_ > alive_.size() + 2) {
     std::ostringstream os;  // lint: alloc-ok (stall diagnostic, cold path)
     os << "zero-length decision intervals are making no progress";
-    std::uint64_t stuck = 0;
-    for (std::size_t i = 0; i < alive_.size(); ++i) {
-      if (soa_.rate[i] > 0.0 && alive_[i].phase_remaining <= 0.0) {
-        const AliveJob& a = alive_[i];
-        stuck = static_cast<std::uint64_t>(a.id);
-        os << "; stuck job id=" << a.id << " (phase "
-           << (a.phase + 1) << "/"
-           << (a.phases.empty() ? std::size_t{1} : a.phases.size())
-           << " drained, remaining=" << a.remaining
-           << " still above completion tolerance)";
-        break;
+    // Name the lowest-positioned running job whose phase has drained (no
+    // job completed this step, so the running set still indexes alive_).
+    std::size_t stuck_at = alive_.size();
+    for (std::size_t j = 0; j < run_rate_.size(); ++j) {
+      const std::size_t i = run_index(j);
+      if (run_rate_[j] > 0.0 && soa_.phase_remaining[i] <= 0.0) {
+        stuck_at = std::min(stuck_at, i);
       }
+    }
+    std::uint64_t stuck = 0;
+    if (stuck_at < alive_.size()) {
+      const AliveJob& a = alive_[stuck_at];
+      stuck = static_cast<std::uint64_t>(a.id);
+      os << "; stuck job id=" << a.id << " (phase " << (a.phase + 1) << "/"
+         << (a.phases.empty() ? std::size_t{1} : a.phases.size())
+         << " drained, remaining=" << a.remaining
+         << " still above completion tolerance)";
     }
     record_failure(false, stuck, "simulation_stall");
     throw SimulationStall(now_, os.str());
@@ -739,24 +850,15 @@ void Engine::begin(Scheduler& sched) {
 
 void Engine::admit(Job job) {
   PARSCHED_CHECK(streaming_, "Engine::admit() outside a streaming run");
-  // Every test is written so that NaN fails it: a NaN release would
-  // never fall due (finish() would spin), an infinite size would surface
-  // much later as a SimulationStall, and a NaN weight would poison
-  // weighted_flow.
-  if (!std::isfinite(job.release)) {
-    throw std::invalid_argument("job release must be finite");
-  }
+  // NaN fails every test: a NaN release would never fall due (finish()
+  // would spin), an infinite size would surface much later as a
+  // SimulationStall, and a NaN weight would poison weighted_flow.
+  validate_job(job);
   if (!(job.release >= frontier_)) {
     std::ostringstream os;
     os << "admission in the past: release " << job.release
        << " < frontier " << frontier_;
     throw std::invalid_argument(os.str());
-  }
-  if (!(std::isfinite(job.size) && job.size > 0.0)) {
-    throw std::invalid_argument("job size must be finite and positive");
-  }
-  if (!(std::isfinite(job.weight) && job.weight > 0.0)) {
-    throw std::invalid_argument("job weight must be finite and positive");
   }
   const auto it = std::upper_bound(
       pending_.begin(), pending_.end(), job.release,
@@ -819,6 +921,11 @@ EngineState Engine::export_state() const {
   s.frontier = frontier_;
   s.arrival_seq = arrival_seq_;
   s.alive = alive_;
+  // The columns hold the authoritative phase_remaining (the sweep does not
+  // write it back into the records).
+  for (std::size_t i = 0; i < s.alive.size(); ++i) {
+    s.alive[i].phase_remaining = soa_.phase_remaining[i];
+  }
   s.completed.assign(completed_.begin(), completed_.end());
   std::sort(s.completed.begin(), s.completed.end());
   s.pending.assign(pending_.begin(), pending_.end());
@@ -853,6 +960,9 @@ void Engine::import_state(const EngineState& s, Scheduler& sched) {
   if (s.config.fast_rate_kernel != cfg_.fast_rate_kernel) {
     throw std::invalid_argument("snapshot rate-kernel arm mismatch");
   }
+  if (s.has_cached_alloc && s.cached_alloc.size() != s.alive.size()) {
+    throw std::invalid_argument("snapshot cached allocation size mismatch");
+  }
   sched_ = &sched;  // no reset(): the caller restored the policy's state
   streaming_ = true;
   now_ = s.now;
@@ -863,14 +973,26 @@ void Engine::import_state(const EngineState& s, Scheduler& sched) {
       std::unordered_set<JobId>(s.completed.begin(), s.completed.end());
   pending_.assign(s.pending.begin(), s.pending.end());
   has_cached_alloc_ = s.has_cached_alloc;
-  cached_alloc_ = s.cached_alloc;
+  // The support is derived state: rebuild it from the nonzero shares.
+  cached_alloc_.assign(
+      {s.cached_alloc.shares().begin(), s.cached_alloc.shares().end()});
+  cached_alloc_.reconsider_at = s.cached_alloc.reconsider_at;
   result_ = s.result;
   result_.stats.reset();
   zero_dt_streak_ = 0;  // scratch, not state: restart the livelock guard
   alloc_warm_n_ = 0;  // scratch is cold after a restore; re-warm unguarded
-  flow_q_.assign(alive_.size(), FlowQ{});  // memos rebuild lazily
   soa_.rebuild(alive_);
-  comp_idx_.reserve(alive_.size());
+  q_all_ = 0;
+  for (const std::int64_t q : soa_.qfix) q_all_ += q;
+  due_.clear();
+  reserve_scratch();
+  for (std::size_t i = 0; i < alive_.size(); ++i) {
+    if (has_rate0_event(alive_[i], soa_.phase_remaining[i],
+                        cfg_.completion_tol)) {
+      due_.push_back(i);
+    }
+  }
+  visited_total_ = 0;
   // The orders are derived state: rebuild the latest array from the
   // restored alive set now and leave the SRPT heap lazily stale — the
   // first SRPT query regathers it, bit-identically to the donor.

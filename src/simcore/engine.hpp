@@ -10,6 +10,7 @@
 // timestep and therefore no discretization error.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -109,37 +110,55 @@ struct EngineState {
   SimResult result;
 };
 
-/// Structure-of-arrays mirror of the alive set's hot fields, owned by
-/// the engine beside `alive_` and kept in sync at every mutation point
-/// (admit, the advance sweep's remaining/phase updates, the completion
-/// swap-remove, snapshot import). The decision hot path reads these
-/// dense arrays — the fused rates pass runs speedup/kernel.hpp's batch
-/// kernels over (kind, alpha, alloc) and writes `rate`; the dt-to-
-/// completion scan and the advance sweep read `rate` — instead of
-/// striding through the ~150-byte AliveJob records, which is the stated
-/// unblocker for dense-alive runs at n = 10⁶.
+/// Fixed-point image of a fractional-flow coefficient q ∈ [0, 1] — one
+/// job's per-unit-time share of ∫ r(t)/size dt: r/size while idle, the
+/// trapezoid 0.5·(r + r')/size over a step that moves r to r' — at 2⁻⁶²
+/// resolution, truncated. The clamp keeps every input, NaN included,
+/// inside the range where the conversion is defined.
+[[nodiscard]] inline std::int64_t to_qfix(double q) {
+  return static_cast<std::int64_t>(std::min(1.0, std::max(0.0, q)) * 0x1p62);
+}
+
+/// Exact sum of up to 2⁶⁴ qfix values (each ≤ 2⁶²): order-independent,
+/// so the idle jobs' fractional-flow term needs no per-job pass.
+__extension__ typedef __int128 QSum;
+
+/// Structure-of-arrays store of the alive set's hot fields, owned by the
+/// engine beside `alive_` and index-aligned with it. It is kept in sync at
+/// every mutation point (admit, the advance sweep, a phase change, the
+/// completion swap-remove, snapshot import). The decision hot path reads
+/// these dense arrays instead of striding through the ~150-byte AliveJob
+/// records: the rates pass runs speedup/kernel.hpp's batch kernels over
+/// (kind, alpha), the dt-to-completion scan reads `phase_remaining`, and
+/// the advance sweep reads `size`/`remaining`/`qfix` and writes back only
+/// `AliveJob::remaining` (which policies read).
 ///
-/// Derived state, not simulation state: every entry is recomputable
-/// from `alive_` (alloc/rate from the current decision's shares), so —
-/// like the IncrementalOrders — none of it appears in EngineState;
-/// import_state() rebuilds it. All vectors are
-/// pre-reserved at admission (geometric growth, outside the AllocGuard
-/// fences), so warm decision steps stay allocation-free with the SoA
-/// arrays exactly as they were without them. PARSCHED_AUDIT=1 re-checks
-/// the mirror field-for-field against `alive_` after every advanced
-/// step (Engine::audit_soa).
+/// `phase_remaining` is authoritative here: the engine does not keep the
+/// records' copy current while a job runs; export_state() writes it back
+/// into the exported records and import_state() reads it from them.
+/// `qfix` is to_qfix(r/size) for the job's current remaining work r, its
+/// fractional-flow coefficient while idle; the engine keeps Σ qfix over
+/// the alive set in one QSum.
+///
+/// Derived state, not simulation state: every entry is recomputable from
+/// the exported records, so none of it appears in EngineState and
+/// import_state() rebuilds it. The columns are pre-reserved at admission
+/// (geometric growth, outside the AllocGuard fences), so warm decision
+/// steps stay allocation-free. PARSCHED_AUDIT=1 re-checks the columns
+/// against `alive_` and Σ qfix after every advanced step
+/// (Engine::audit_soa).
 struct AliveSoA {
-  std::vector<double> remaining;      ///< == alive_[i].remaining
-  std::vector<double> release;        ///< == alive_[i].release
-  std::vector<double> alpha;          ///< == alive_[i].curve.alpha()
-  std::vector<std::uint8_t> kind;     ///< == uint8(alive_[i].curve.kind())
-  std::vector<double> alloc;          ///< this decision's shares
-  std::vector<double> rate;           ///< this decision's rates Γ(share)
-  [[nodiscard]] std::size_t size() const { return remaining.size(); }
+  std::vector<double> remaining;        ///< == alive_[i].remaining
+  std::vector<double> size;             ///< == alive_[i].size
+  std::vector<double> phase_remaining;  ///< work left in the current phase
+  std::vector<double> alpha;            ///< == alive_[i].curve.alpha()
+  std::vector<std::uint8_t> kind;       ///< == uint8(alive_[i].curve.kind())
+  std::vector<std::int64_t> qfix;       ///< idle fractional-flow coefficient
+  [[nodiscard]] std::size_t count() const { return remaining.size(); }
   void clear();
   /// Geometric pre-reservation for up to n jobs (amortized O(1)/admit).
   void reserve(std::size_t n);
-  /// Mirror of alive_.push_back(a); alloc/rate slots start at 0.
+  /// Mirror of alive_.push_back(a), reading the record's phase_remaining.
   void push_back(const AliveJob& a);
   /// Mirror of the job at `i` advancing to the given phase curve.
   void set_curve(std::size_t i, const SpeedupCurve& curve);
@@ -229,7 +248,7 @@ class Engine final : public EngineView {
     return completed_.count(id) > 0;
   }
 
-  /// Test/audit surface: the SoA mirror of the alive set. Read-only;
+  /// Test/audit surface: the SoA columns of the alive set. Read-only;
   /// index-aligned with the engine's alive order (the order EngineState
   /// serializes). tests/test_rate_kernel.cpp's sync property test and
   /// the PARSCHED_AUDIT mirror check consume this.
@@ -250,9 +269,15 @@ class Engine final : public EngineView {
   void drain_to(double horizon);
   Step decision_step(double t_arrive, double horizon, double& t_section);
   void compute_rates(bool validate);
-  /// PARSCHED_AUDIT: cross-check the SoA mirror against alive_
-  /// field-for-field (bit equality). O(n), audit runs only.
+  /// Admission bookkeeping shared by admit_job_now() and import: reserve
+  /// the per-step scratch for the current alive count.
+  void reserve_scratch();
+  /// PARSCHED_AUDIT: cross-check the SoA columns against alive_
+  /// field-for-field (bit equality) and q_all_ against Σ qfix. O(n),
+  /// audit runs only.
   void audit_soa() const;
+  /// PARSCHED_AUDIT: the decision's support is exactly its nonzero shares.
+  void audit_support() const;
   /// Flight-recorder failure hook: record a stall/trip event and dump the
   /// ring (no-op without a recorder). Cold path only.
   void record_failure(bool contract_trip, std::uint64_t id,
@@ -284,11 +309,15 @@ class Engine final : public EngineView {
   // is simulation state: everything here is either overwritten before use
   // each step or a self-validating memo of values derivable from alive_,
   // and all of it is deliberately absent from EngineState.
-  /// SoA mirror of the alive set (see AliveSoA above). `alloc`/`rate`
-  /// double as the decision scratch the old flat `rates_` vector was:
-  /// compute_rates() overwrites both, and their values for a *deferred*
-  /// decision stay frozen with it (the rates_valid_ protocol below).
+  /// Hot per-job columns (see AliveSoA above).
   AliveSoA soa_;
+  /// Σ soa_.qfix over the alive set, exact. A step adds
+  /// (q_all_ − Σ_visited qfix_old + Σ_visited c) · 2⁻⁶² · dt to
+  /// fractional_flow, where c is a visited job's fixed-point trapezoid
+  /// coefficient — so idle jobs cost nothing per step. Carried across
+  /// steps like the orders below, and like them derived: import_state()
+  /// rebuilds it from the columns.
+  QSum q_all_ = 0;
   /// The ordering module (simcore/incremental.hpp): both policy orders,
   /// kept across decision steps, plus the per-decision answer memo.
   /// Unlike the rest of this scratch block it carries state *across*
@@ -296,34 +325,30 @@ class Engine final : public EngineView {
   /// alive_, and import_state()/begin_run() rebuild it, so it stays out
   /// of EngineState.
   IncrementalOrders orders_;
-  /// Jobs with a nonzero rate in the current decision (set by
-  /// compute_rates): the advance sweep uses it to pick between per-job
-  /// O(log n) heap updates and one lazy-decay epoch when most keys move
-  /// at once (> n/8, where n sifts start losing to one O(n) rebuild).
+  /// The decision's rates, set by compute_rates() and frozen with a
+  /// deferred decision: for a dense (fill()) decision one per alive job,
+  /// for a sparse one aligned with cached_alloc_.support(). Entry j is
+  /// the rate of alive job run_index(j).
+  bool run_dense_ = false;
+  std::vector<double> run_rate_;
+  [[nodiscard]] std::size_t run_index(std::size_t j) const {
+    return run_dense_ ? j : cached_alloc_.support()[j];
+  }
+  /// Jobs with a nonzero rate in the current decision: the advance sweep
+  /// uses it to pick between per-job O(log n) heap updates and one
+  /// lazy-decay epoch when most keys move at once (> n/8, where n sifts
+  /// start losing to one O(n) rebuild).
   std::size_t rates_nonzero_ = 0;
+  /// Alive positions (ascending) with a pending rate-0 event: a fresh job
+  /// whose size is within the completion tolerance, or whose first phase
+  /// is. The sweep visits them even when idle; it empties the list, since
+  /// a swept job has no rate-0 event left. A pure function of job state,
+  /// so import_state() rebuilds it by a scan.
+  std::vector<std::size_t> due_;
+  std::uint64_t visited_total_ = 0;  ///< jobs the sweeps touched this run
   std::vector<std::size_t> completion_order_;  // new-record indices, id-sorted
-  std::vector<std::size_t> comp_idx_;  // this step's completed positions, asc
-  /// Per-job fast-path memo for the advance loop, index-aligned with
-  /// alive_ (appended on admission, swapped on removal, reset on
-  /// import_state). `q` caches the flow-integral quotient 0.5*(r+r)/size
-  /// for the job's current remaining work r — the rate-0 advance arm's
-  /// division result, reusable verbatim because r only changes in the
-  /// full arm, which refreshes q eagerly. A job with `needs_full` set
-  /// (fresh admission or snapshot restore) takes the full advance arm
-  /// once — replaying the general path's clamps and phase/completion
-  /// checks bit for bit, then clearing the flag — so the fast arm may
-  /// assume the invariants the full arm establishes on survivors:
-  /// nonnegative remaining/phase_remaining, no pending phase advance,
-  /// remaining strictly above the completion tolerance. All of those are
-  /// constant while the job's rate stays 0, so the fast arm touches only
-  /// this dense memo, never the (much wider) AliveJob record — that is
-  /// what makes a dense mostly-idle decision step cheap.
-  struct FlowQ {
-    double q = 0.0;
-    std::uint8_t needs_full = 1;
-  };
-  std::vector<FlowQ> flow_q_;
-  /// rates_ / dt_complete_ for the decision in cached_alloc_, valid while
+  std::vector<std::size_t> comp_idx_;  // this step's completed positions
+  /// run_rate_ / dt_complete_ for the decision in cached_alloc_, valid while
   /// the decision is deferred (its inputs are frozen by the deferral
   /// contract). Only a snapshot restore — which does not carry scratch —
   /// leaves a cached decision without them.

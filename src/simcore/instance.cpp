@@ -9,6 +9,12 @@ Instance::Instance(int machines, std::vector<Job> jobs)
     : m_(machines), jobs_(std::move(jobs)) {
   if (m_ < 1) throw std::invalid_argument("need at least one machine");
   if (jobs_.empty()) throw std::invalid_argument("instance has no jobs");
+  // Validate before sorting: a NaN release is not orderable.
+  for (Job& j : jobs_) {
+    j.normalize_phases();
+    validate_job(j);
+    if (j.release < 0.0) throw std::invalid_argument("negative release time");
+  }
   std::stable_sort(jobs_.begin(), jobs_.end(),
                    [](const Job& a, const Job& b) {
                      return a.release < b.release;
@@ -16,10 +22,7 @@ Instance::Instance(int machines, std::vector<Job> jobs)
   min_size_ = max_size_ = jobs_.front().size;
   for (std::size_t i = 0; i < jobs_.size(); ++i) {
     Job& j = jobs_[i];
-    j.normalize_phases();
     if (j.id == kInvalidJob) j.id = static_cast<JobId>(i);
-    if (j.release < 0.0) throw std::invalid_argument("negative release time");
-    if (j.size <= 0.0) throw std::invalid_argument("nonpositive job size");
     min_size_ = std::min(min_size_, j.size);
     max_size_ = std::max(max_size_, j.size);
     total_work_ += j.size;

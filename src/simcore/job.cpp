@@ -1,5 +1,6 @@
 #include "simcore/job.hpp"
 
+#include <cmath>
 #include <stdexcept>
 
 namespace parsched {
@@ -15,6 +16,23 @@ void Job::normalize_phases() {
   }
   size = total;
   curve = phases.front().curve;
+}
+
+void validate_job(const Job& job) {
+  if (!std::isfinite(job.release)) {
+    throw std::invalid_argument("job release must be finite");
+  }
+  if (!(std::isfinite(job.size) && job.size > 0.0)) {
+    throw std::invalid_argument("job size must be finite and positive");
+  }
+  if (!(std::isfinite(job.weight) && job.weight > 0.0)) {
+    throw std::invalid_argument("job weight must be finite and positive");
+  }
+  for (const JobPhase& p : job.phases) {
+    if (!(std::isfinite(p.work) && p.work > 0.0)) {
+      throw std::invalid_argument("job phase work must be finite and positive");
+    }
+  }
 }
 
 Job make_phased_job(JobId id, double release, std::vector<JobPhase> phases) {

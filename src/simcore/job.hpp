@@ -66,6 +66,14 @@ struct Job {
   void normalize_phases();
 };
 
+/// Check a job where it enters a simulation (Instance construction,
+/// batch admission, Engine::admit): release, size and weight finite; size
+/// and weight positive; every phase's work finite and positive. Every
+/// test is written so that NaN fails it. Throws std::invalid_argument
+/// naming the offending field. Admission-time bounds on the release (>= 0
+/// for an Instance, >= the frontier when streaming) are the caller's.
+void validate_job(const Job& job);
+
 /// Convenience constructor for multi-phase jobs.
 [[nodiscard]] Job make_phased_job(JobId id, double release,
                                   std::vector<JobPhase> phases);

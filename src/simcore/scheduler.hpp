@@ -7,12 +7,14 @@
 // event times instead of a fixed timestep.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "check/contract.hpp"
 #include "simcore/job.hpp"
 #include "util/mathx.hpp"
 
@@ -38,6 +40,9 @@ struct AliveJob {
   // must not read these — they reveal the future phase structure).
   std::vector<JobPhase> phases;
   std::size_t phase = 0;
+  /// Work left in the current phase. The engine keeps the live value in
+  /// its SoA columns; in its records this field is current only in an
+  /// exported EngineState.
   double phase_remaining = 0.0;
 };
 
@@ -87,22 +92,101 @@ class SchedulerContext {
   IncrementalOrders* orders_;
 };
 
-/// A policy's answer: `shares[i]` processors for `ctx.alive()[i]`
-/// (fractional, nonnegative, summing to at most m), plus an optional
-/// absolute time by which the policy wants to be re-invoked even if no
-/// arrival/completion happens (e.g. Greedy's priority-crossing times).
-struct Allocation {
-  std::vector<double> shares;
+/// A policy's answer: a share of processors for each job of
+/// `ctx.alive()` (fractional, nonnegative, summing to at most m), plus an
+/// optional absolute time by which the policy wants to be re-invoked even
+/// if no arrival/completion happens (e.g. Greedy's priority-crossing
+/// times).
+///
+/// Shares are written only through give() (one job) or fill() (every
+/// job), so the allocation always knows its *support* — the jobs it gave a
+/// nonzero share. The engine evaluates rates, the event time and the
+/// advance sweep over the support alone, so a decision that runs m of n
+/// jobs costs O(m), not O(n). shares() is the dense read-only view for
+/// observers, snapshots and tests.
+class Allocation {
+ public:
   double reconsider_at = kInf;
 
   /// Start a fresh decision over n jobs: zero shares, no reconsideration.
-  /// Reuses the vector's capacity — every policy calls this first on the
-  /// engine-owned output buffer, so steady-state decisions allocate
+  /// Zeroes only the previous decision's support and reuses the buffers'
+  /// capacity — every policy calls this first on the engine-owned output
+  /// buffer, so a steady-state decision costs O(|support|) and allocates
   /// nothing.
   void reset(std::size_t n) {
-    shares.assign(n, 0.0);
+    if (dense_) {
+      shares_.assign(n, 0.0);
+      dense_ = false;
+    } else {
+      for (const std::size_t i : support_) shares_[i] = 0.0;
+      shares_.resize(n, 0.0);
+    }
+    support_.clear();
+    // Geometric, and only at a new largest n: a decision over at most as
+    // many jobs as an earlier one grows nothing, whatever its support.
+    if (support_.capacity() < n) {
+      support_.reserve(std::max(n, 2 * support_.capacity()));
+    }
     reconsider_at = kInf;
   }
+
+  /// Set job i's share to s, replacing an earlier give() to the same job.
+  /// A share once given cannot be taken back to zero within a decision
+  /// (reset() starts over); giving 0 to a job without a share is a no-op.
+  /// Validation of s (sign, total) is the engine's job.
+  void give(std::size_t i, double s) {
+    PARSCHED_DCHECK(i < shares_.size(), "give() index out of range");
+    double& slot = shares_[i];
+    if (!dense_) {
+      // Sparse mode keeps support == {i : share_i != 0}: a zero slot is
+      // outside the support, a nonzero one inside it exactly once.
+      if (slot == 0.0) {  // lint: float-eq-ok
+        if (s == 0.0) return;  // lint: float-eq-ok
+        support_.push_back(i);
+      } else {
+        PARSCHED_CHECK(s != 0.0,  // lint: float-eq-ok
+                       "Allocation::give() cannot revoke a share");
+      }
+    }
+    slot = s;
+  }
+
+  /// Give every job the same share s: a dense decision (EQUI, the
+  /// underloaded branches). The support is then every index, recorded as
+  /// a flag rather than an n-entry index list.
+  void fill(double s) {
+    std::fill(shares_.begin(), shares_.end(), s);
+    dense_ = true;
+    support_.clear();
+  }
+
+  /// Snapshot import: adopt a dense share vector and rebuild the support
+  /// from its nonzero entries (the support is derived state, so snapshots
+  /// carry only the shares).
+  void assign(std::vector<double> shares) {
+    shares_ = std::move(shares);
+    dense_ = false;
+    support_.clear();
+    for (std::size_t i = 0; i < shares_.size(); ++i) {
+      if (shares_[i] != 0.0) support_.push_back(i);  // lint: float-eq-ok
+    }
+  }
+
+  /// Dense read-only view: one share per alive job.
+  [[nodiscard]] std::span<const double> shares() const { return shares_; }
+  [[nodiscard]] std::size_t size() const { return shares_.size(); }
+  /// True when fill() made every job part of the support.
+  [[nodiscard]] bool dense() const { return dense_; }
+  /// The jobs given a nonzero share, in give() order, without duplicates.
+  /// Meaningful only when !dense(); exactly {i : shares()[i] != 0}.
+  [[nodiscard]] std::span<const std::size_t> support() const {
+    return support_;
+  }
+
+ private:
+  std::vector<double> shares_;
+  std::vector<std::size_t> support_;
+  bool dense_ = false;
 };
 
 /// Online scheduling policy. Implementations must be deterministic
@@ -115,8 +199,8 @@ class Scheduler {
 
   /// Fill `out` with this decision's allocation. `out` is an engine-owned
   /// buffer reused across decisions; implementations MUST begin with
-  /// out.reset(ctx.alive().size()) (or assign every field) — its previous
-  /// contents are the last decision's answer, not zeros.
+  /// out.reset(ctx.alive().size()) — its previous contents are the last
+  /// decision's answer, not zeros.
   virtual void allocate(const SchedulerContext& ctx, Allocation& out) = 0;
 
   /// Convenience for callers without a reusable buffer (tests, one-shot

@@ -79,4 +79,19 @@ void rate_batch_fast(std::span<const std::uint8_t> kinds,
                      std::span<const double> xs, double speed,
                      std::span<double> out, PwlRateFn pwl = {});
 
+/// Gathering forms of the two arms, for a sparse allocation: out[j] =
+/// speed * Γ_i(xs[i]) with i = idx[j], read straight from the full
+/// columns (kinds/alphas/xs share one length; out matches idx). Element
+/// j gets exactly the bits rate_batch / rate_batch_fast give element i;
+/// the pwl fallback is called with the column index i.
+void rate_gather(std::span<const std::size_t> idx,
+                 std::span<const std::uint8_t> kinds,
+                 std::span<const double> alphas, std::span<const double> xs,
+                 double speed, std::span<double> out, PwlRateFn pwl = {});
+void rate_gather_fast(std::span<const std::size_t> idx,
+                      std::span<const std::uint8_t> kinds,
+                      std::span<const double> alphas,
+                      std::span<const double> xs, double speed,
+                      std::span<double> out, PwlRateFn pwl = {});
+
 }  // namespace parsched::speedup

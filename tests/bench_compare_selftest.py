@@ -62,6 +62,16 @@ def report():
                 ],
             },
             {
+                "name": "sparse_step",
+                "columns": ["case", "policy", "n", "steps", "us_per_step",
+                            "visited_per_step"],
+                "rows": [
+                    ["isrpt/1000000", "isrpt", 1000000, 4000, 4.0, 16.0],
+                    ["equi/1000000", "equi", 1000000, 7, 40000.0,
+                     1000000.0],
+                ],
+            },
+            {
                 "name": "client_latency",
                 "columns": ["metric", "mean_ms", "p50_ms", "p95_ms",
                             "p99_ms"],
@@ -126,6 +136,10 @@ def scale_rates(doc, factor):
             i = t["columns"].index("decisions_per_sec_incremental")
             for row in t["rows"]:
                 row[i] *= factor
+        if t["name"] == "sparse_step":
+            i = t["columns"].index("us_per_step")
+            for row in t["rows"]:
+                row[i] /= factor
         if t["name"] == "client_latency":
             for col in ("mean_ms", "p50_ms", "p95_ms", "p99_ms"):
                 i = t["columns"].index(col)
@@ -201,7 +215,7 @@ def main() -> int:
         return doc
 
     def p99_spike(doc):
-        t = doc["tables"][3]
+        t = next(t for t in doc["tables"] if t["name"] == "client_latency")
         i = t["columns"].index("p99_ms")
         t["rows"][0][i] *= 1.5
         return doc
@@ -212,6 +226,14 @@ def main() -> int:
         t = doc["tables"][2]
         i = t["columns"].index("decisions_per_sec_incremental")
         t["rows"][0][i] *= 0.7
+        return doc
+
+    def sparse_step_regressed(doc):
+        # One policy's step gets 40% slower while every sibling gate
+        # holds — must fail even under calibration.
+        t = next(t for t in doc["tables"] if t["name"] == "sparse_step")
+        i = t["columns"].index("us_per_step")
+        t["rows"][0][i] *= 1.4
         return doc
 
     def cluster_throughput_regressed(doc):
@@ -279,6 +301,8 @@ def main() -> int:
         ("p99_spike", p99_spike, ["--auto-scale", "--tolerance=0.15"], 1),
         ("p99_spike_loose", p99_spike, ["--tolerance=0.60"], 0),
         ("incremental_rate_regressed", incremental_rate_regressed,
+         ["--auto-scale"], 1),
+        ("sparse_step_regressed", sparse_step_regressed,
          ["--auto-scale"], 1),
         ("cluster_throughput_regressed", cluster_throughput_regressed,
          ["--auto-scale"], 1),

@@ -3,8 +3,8 @@
 //
 // The contract under test: the IncrementalOrders behind every
 // SchedulerContext — persistent orders, the per-decision memo with its
-// prefix extension, the engine's reusable scratch buffers, the FlowQ fast
-// advance arm and the sparse completion sweep — is pure mechanism. Every
+// prefix extension, the engine's reusable scratch buffers, the sparse
+// advance sweep and the sparse completion sweep — is pure mechanism. Every
 // ordering answer must equal the oracle's (tests/simcore/ordering_oracle.hpp:
 // per-call iota + sort / nth_element), and a run whose every answer is
 // checked against the oracle must be double-for-double identical to the

@@ -37,7 +37,7 @@ class SpinScheduler final : public Scheduler {
   std::string name() const override { return "Spin"; }
   void allocate(const SchedulerContext& ctx, Allocation& out) override {
     out.reset(ctx.alive().size());
-    if (!out.shares.empty()) out.shares[0] = 1e-9;  // glacial progress
+    if (out.size() != 0) out.give(0, 1e-9);  // glacial progress
     out.reconsider_at = ctx.time() + 1e-9;
   }
 };
@@ -50,7 +50,7 @@ class InfeasibleScheduler final : public Scheduler {
   std::string name() const override { return "Infeasible"; }
   void allocate(const SchedulerContext& ctx, Allocation& out) override {
     out.reset(ctx.alive().size());
-    for (double& s : out.shares) s = 1.0;
+    out.fill(1.0);
   }
 };
 
@@ -61,8 +61,8 @@ class NegativeShareScheduler final : public Scheduler {
   std::string name() const override { return "NegativeShare"; }
   void allocate(const SchedulerContext& ctx, Allocation& out) override {
     out.reset(ctx.alive().size());
-    for (double& s : out.shares) s = 0.5;
-    out.shares[0] = -0.5;
+    out.fill(0.5);
+    out.give(0, -0.5);
   }
 };
 

@@ -333,6 +333,19 @@ TEST(FlightRecorder, RingWrapKeepsOnlyTheNewestEvents) {
   EXPECT_NE(os.str().find("\"events\": 4"), std::string::npos);
 }
 
+TEST(FlightRecorder, NonPowerOfTwoRingWrapsInTicketOrder) {
+  obs::FlightRecorder rec(5);
+  for (std::uint64_t i = 0; i < 13; ++i) {
+    rec.record(obs::FlightEvent::kNote, i, static_cast<double>(i));
+  }
+  const auto events = rec.snapshot();
+  ASSERT_EQ(events.size(), 5u);
+  for (std::size_t k = 0; k < events.size(); ++k) {
+    EXPECT_EQ(events[k].seq, 8u + k);
+    EXPECT_EQ(events[k].id, 8u + k);
+  }
+}
+
 TEST(FlightRecorder, ZeroCapacityClampsToOne) {
   obs::FlightRecorder rec(0);
   EXPECT_EQ(rec.capacity(), 1u);

@@ -177,17 +177,23 @@ TEST(RateKernel, FastArmMemoIsExactOnSharedAlpha) {
 void expect_mirror_matches(const Engine& eng) {
   const AliveSoA& soa = eng.alive_soa();
   const EngineState st = eng.export_state();
-  ASSERT_EQ(soa.size(), st.alive.size());
-  ASSERT_EQ(soa.alloc.size(), st.alive.size());
-  ASSERT_EQ(soa.rate.size(), st.alive.size());
+  ASSERT_EQ(soa.count(), st.alive.size());
+  ASSERT_EQ(soa.size.size(), st.alive.size());
+  ASSERT_EQ(soa.phase_remaining.size(), st.alive.size());
+  ASSERT_EQ(soa.qfix.size(), st.alive.size());
   for (std::size_t i = 0; i < st.alive.size(); ++i) {
     const AliveJob& a = st.alive[i];
     EXPECT_EQ(std::bit_cast<std::uint64_t>(soa.remaining[i]),
               std::bit_cast<std::uint64_t>(a.remaining))
         << "remaining mismatch at i=" << i;
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(soa.release[i]),
-              std::bit_cast<std::uint64_t>(a.release))
-        << "release mismatch at i=" << i;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(soa.size[i]),
+              std::bit_cast<std::uint64_t>(a.size))
+        << "size mismatch at i=" << i;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(soa.phase_remaining[i]),
+              std::bit_cast<std::uint64_t>(a.phase_remaining))
+        << "phase_remaining mismatch at i=" << i;
+    EXPECT_EQ(soa.qfix[i], to_qfix(a.remaining / a.size))
+        << "qfix mismatch at i=" << i;
     EXPECT_EQ(std::bit_cast<std::uint64_t>(soa.alpha[i]),
               std::bit_cast<std::uint64_t>(a.curve.alpha()))
         << "alpha mismatch at i=" << i;

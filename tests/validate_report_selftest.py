@@ -104,6 +104,13 @@ def e11_report(drop_table=None, drop_column=None):
             "rows": [[100000, 1600.0]],
         },
         {
+            "name": "sparse_step",
+            "columns": ["case", "policy", "n", "steps", "us_per_step",
+                        "visited_per_step"],
+            "rows": [["isrpt/1000000", "isrpt", 1000000, 4000, 4.0,
+                      16.0]],
+        },
+        {
             "name": "flight_recorder_overhead",
             "columns": ["n", "overhead_pct"],
             "rows": [[1000, 1.2]],
@@ -246,6 +253,10 @@ def main() -> int:
          e11_report(drop_table="rate_kernel"), False, 1),
         ("BENCH_e11_no_fast_speedup.json",
          e11_report(drop_column="fast_speedup"), False, 1),
+        ("BENCH_e11_no_sparse_step.json",
+         e11_report(drop_table="sparse_step"), False, 1),
+        ("BENCH_e11_no_visited_per_step.json",
+         e11_report(drop_column="visited_per_step"), False, 1),
         ("BENCH_cluster_no_p99.json",
          cluster_report(drop_column="p99_ms"), False, 1),
         # Migration events are part of the flight-record vocabulary.

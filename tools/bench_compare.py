@@ -22,6 +22,9 @@ Gates extracted from a report:
   * the `decisions_per_sec_incremental` column of an
     `incremental_orders` table row (higher is better), keyed by n — the
     engine's persistent orders must not lose ground against the clock;
+  * the `us_per_step` column of a `sparse_step` table row (lower is
+    better), keyed by its policy/n case — one decision step's cost per
+    policy and backlog size;
   * the `mean_ms` / `p50_ms` / `p95_ms` / `p99_ms` columns of a
     `client_latency` table (lower is better);
   * the `p50_ms` / `p95_ms` / `p99_ms` columns of a `cluster_latency`
@@ -89,6 +92,7 @@ TABLE_GATES = {
         "n",
         [("decisions_per_sec_incremental", "higher")],
     ),
+    "sparse_step": ("case", [("us_per_step", "lower")]),
     "client_latency": (
         "metric",
         [

@@ -60,6 +60,8 @@ REPORT_REQUIRED_TABLES = {
     "e11_engine_perf": {
         "dense_alive": ["n", "decisions_per_sec"],
         "incremental_orders": ["n", "decisions_per_sec_incremental"],
+        "sparse_step": ["case", "policy", "n", "us_per_step",
+                        "visited_per_step"],
         "flight_recorder_overhead": ["n", "overhead_pct"],
         "rate_kernel": ["case", "population", "scalar_melems_per_sec",
                         "batch_melems_per_sec", "fast_melems_per_sec",
