@@ -1,12 +1,16 @@
 // parsched — PBIN, the compact binary serve protocol.
 //
 // PBIN is the NDJSON protocol's binary twin: the same verbs, the same
-// verdicts, the same strand semantics — but length-prefixed frames
-// instead of lines, and doubles as raw IEEE-754 bits (the serve/wire
-// codec shared with the PSNP snapshots) instead of decimal text. That
-// makes it the protocol of choice for bit-identity checks: a total_flow
-// crossing PBIN is the exact engine double, not a shortest-round-trip
-// rendering.
+// verdicts, the same strand semantics, because both wires are thin
+// codecs around one verb table (serve/command.hpp). The server side of
+// this file only decodes a frame payload into a Command and encodes a
+// Reply back; ProtocolHandler::handle_frame() runs execute() between
+// the two. On the wire PBIN differs from NDJSON in framing: length-
+// prefixed frames instead of lines, and doubles as raw IEEE-754 bits
+// (the serve/wire codec shared with the PSNP snapshots, speedup curves
+// and phase lists included) instead of decimal text. That makes it the
+// protocol of choice for bit-identity checks: a total_flow crossing
+// PBIN is the exact engine double, not a shortest-round-trip rendering.
 //
 // Connection life cycle on a Unix-socket transport:
 //
@@ -35,9 +39,12 @@
 //                reject  u8 Submit verdict code (retryable backpressure)
 //
 // The op-specific field tables live in docs/API.md; encoders/decoders
-// below are the single source of truth in code. Unknown ops and corrupt
-// payloads answer status=error; a frame longer than kMaxFramePayload
-// kills the connection (it cannot be resynchronized).
+// below are the single source of truth in code. Unknown ops answer
+// status=error with op byte 0; a payload too short for its fields
+// answers status=error with the op byte read so far (0 before it). A
+// reject carries no "<op> rejected" text, only the verdict byte. A
+// frame longer than kMaxFramePayload kills the connection (it cannot be
+// resynchronized).
 #pragma once
 
 #include <cstdint>
@@ -45,6 +52,7 @@
 #include <string_view>
 #include <vector>
 
+#include "serve/command.hpp"
 #include "simcore/job.hpp"
 
 namespace parsched::serve {
@@ -56,31 +64,11 @@ inline constexpr std::size_t kBinHelloSize = 8;
 /// (the stream cannot be resynchronized past it).
 inline constexpr std::uint32_t kMaxFramePayload = 64u << 20;
 
-/// Request opcodes. Values are wire format — append only.
-enum class BinOp : std::uint8_t {
-  kPing = 0,
-  kOpen = 1,
-  kAdmit = 2,
-  kAdvance = 3,
-  kQuery = 4,
-  kSnapshot = 5,
-  kRestore = 6,
-  kFinish = 7,
-  kClose = 8,
-  kStats = 9,
-  kDump = 10,
-  kShutdown = 11,
-  kMigrate = 12,
-  kEvacuate = 13,
-  kCluster = 14,
-};
+/// Request opcodes: the verb table's values (serve/command.hpp).
+using BinOp = Verb;
 
 /// Response status byte.
-enum class BinStatus : std::uint8_t {
-  kOk = 0,
-  kError = 1,
-  kReject = 2,
-};
+using BinStatus = ReplyStatus;
 
 // ---- framing --------------------------------------------------------------
 

@@ -1,17 +1,13 @@
 #include "serve/protocol.hpp"
 
 #include <cmath>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
 
-#include "obs/expose.hpp"
-#include "obs/flight_recorder.hpp"
 #include "obs/json.hpp"
-#include "obs/metrics.hpp"
-#include "serve/snapshot.hpp"
 #include "speedup/curve.hpp"
-#include "util/fsio.hpp"
 
 namespace parsched::serve {
 
@@ -20,24 +16,34 @@ namespace {
 using obs::JsonValue;
 using obs::JsonWriter;
 
-/// The request id, carried verbatim into the response. Requests without
-/// an id still get responses (id omitted).
-struct RequestId {
-  bool present = false;
-  double value = 0.0;
-};
+// ---- decoder --------------------------------------------------------------
 
-std::string error_line(const RequestId& id, const std::string& message,
-                       const char* reject = nullptr) {
-  std::ostringstream os;
-  JsonWriter w(os);
-  w.begin_object();
-  if (id.present) w.kv("id", id.value);
-  w.kv("ok", false);
-  w.kv("error", message);
-  if (reject != nullptr) w.kv("reject", reject);
-  w.end_object();
-  return os.str();
+[[noreturn]] void fail(const std::string& why) {
+  throw std::invalid_argument(why);
+}
+
+/// A JSON number as an integer field: it must be integral and inside
+/// T's range (a bare cast of anything else is undefined behaviour).
+template <class T>
+T checked_integer(double x, const char* field) {
+  using Limits = std::numeric_limits<T>;
+  const double hi = std::ldexp(1.0, Limits::digits);  // 2^digits, exact
+  const double lo = Limits::is_signed ? -hi : 0.0;
+  if (!(x >= lo && x < hi) || std::trunc(x) != x) {
+    fail(std::string(field) + " must be an integer in [" +
+         std::to_string(Limits::min()) + ", " +
+         std::to_string(Limits::max()) + "]");
+  }
+  return static_cast<T>(x);
+}
+
+/// A required number field; `missing` is the message when it is absent
+/// or not a number.
+double required_number(const JsonValue& obj, const char* field,
+                       const std::string& missing) {
+  const JsonValue* v = obj.find(field);
+  if (v == nullptr || !v->is_number()) fail(missing);
+  return v->number;
 }
 
 SpeedupCurve parse_curve(const std::string& spec) {
@@ -53,42 +59,107 @@ SpeedupCurve parse_curve(const std::string& spec) {
     }
     if (used == 0 || used != spec.size() - 4 || !(alpha >= 0.0) ||
         !(alpha <= 1.0)) {
-      throw std::invalid_argument("bad power-law curve spec: " + spec);
+      fail("bad power-law curve spec: " + spec);
     }
     return SpeedupCurve::power_law(alpha);
   }
-  throw std::invalid_argument("unknown curve spec: " + spec +
-                              " (expected par|seq|pow:<alpha>)");
+  fail("unknown curve spec: " + spec + " (expected par|seq|pow:<alpha>)");
 }
 
 Job parse_job(const JsonValue& jv) {
-  if (!jv.is_object()) throw std::invalid_argument("job must be an object");
-  const JsonValue* id = jv.find("id");
-  if (id == nullptr || !id->is_number()) {
-    throw std::invalid_argument("job.id (number) is required");
-  }
+  if (!jv.is_object()) fail("job must be an object");
   Job job;
-  job.id = static_cast<JobId>(id->number);
+  job.id = checked_integer<JobId>(
+      required_number(jv, "id", "job.id (number) is required"), "job.id");
   job.release = jv.number_or("release", 0.0);
   job.size = jv.number_or("size", 1.0);
   job.weight = jv.number_or("weight", 1.0);
   job.curve = parse_curve(jv.string_or("curve", "par"));
   if (const JsonValue* phases = jv.find("phases"); phases != nullptr) {
-    if (!phases->is_array()) {
-      throw std::invalid_argument("job.phases must be an array");
-    }
+    if (!phases->is_array()) fail("job.phases must be an array");
     for (const JsonValue& pv : phases->array) {
-      if (!pv.is_object()) {
-        throw std::invalid_argument("job phase must be an object");
-      }
-      JobPhase phase;
-      phase.work = pv.number_or("work", 0.0);
-      phase.curve = parse_curve(pv.string_or("curve", "par"));
-      job.phases.push_back(std::move(phase));
+      if (!pv.is_object()) fail("job phase must be an object");
+      job.phases.push_back({pv.number_or("work", 0.0),
+                            parse_curve(pv.string_or("curve", "par"))});
     }
   }
   return job;
 }
+
+/// Everything after the id. Throws with the message the request answers.
+void decode_fields(const JsonValue& req, Command& c) {
+  const std::string op = req.string_or("op", "");
+  if (op.empty()) fail("missing op");
+  std::uint8_t v = 0;
+  while (v < kVerbCount && op != verb_name(static_cast<Verb>(v))) ++v;
+  const bool known = v < kVerbCount;
+  if (known) c.verb = static_cast<Verb>(v);
+  // An unknown op is read as a session verb: its session is checked
+  // before its name.
+  if (!known || addresses_session(c.verb)) {
+    const double sid = required_number(req, "session", "missing session");
+    if (!known) fail("unknown op: " + op);
+    c.session = checked_integer<SessionId>(sid, "session");
+  }
+  switch (c.verb) {
+    case Verb::kOpen:
+      c.open.policy = req.string_or("policy", "equi");
+      c.open.machines =
+          checked_integer<int>(req.number_or("machines", 1.0), "machines");
+      c.open.speed = req.number_or("speed", 1.0);
+      c.key = checked_integer<std::uint64_t>(req.number_or("key", 0.0), "key");
+      break;
+    case Verb::kAdmit: {
+      const JsonValue* job = req.find("job");
+      if (job == nullptr) fail("admit requires job");
+      c.job = parse_job(*job);
+      break;
+    }
+    case Verb::kAdvance:
+      c.to = required_number(req, "to", "advance requires to (number)");
+      break;
+    case Verb::kMigrate:
+    case Verb::kEvacuate:
+      c.shard = checked_integer<int>(
+          required_number(req, "shard",
+                          op + " requires shard (number)"),
+          "shard");
+      break;
+    case Verb::kSnapshot:
+    case Verb::kRestore:
+    case Verb::kDump:
+      c.path = req.string_or("path", "");
+      break;
+    default:
+      break;
+  }
+}
+
+Command decode_line(std::string_view line) {
+  Command c;
+  JsonValue req;
+  std::string parse_error;
+  if (!obs::json_parse(line, req, &parse_error)) {
+    c.malformed = "bad JSON: " + parse_error;
+    return c;
+  }
+  if (!req.is_object()) {
+    c.malformed = "request must be a JSON object";
+    return c;
+  }
+  if (const JsonValue* id = req.find("id"); id != nullptr && id->is_number()) {
+    c.id.present = true;
+    c.id.number = id->number;
+  }
+  try {
+    decode_fields(req, c);
+  } catch (const std::exception& e) {
+    c.malformed = e.what();
+  }
+  return c;
+}
+
+// ---- encoder --------------------------------------------------------------
 
 /// Shared shape of the query/finish payloads.
 void write_result_fields(JsonWriter& w, const SimResult& r) {
@@ -101,342 +172,94 @@ void write_result_fields(JsonWriter& w, const SimResult& r) {
   w.kv("events", r.events);
 }
 
-std::string query_line(const RequestId& id, const Session& s) {
-  std::ostringstream os;
-  JsonWriter w(os);
-  w.begin_object();
-  if (id.present) w.kv("id", id.value);
-  w.kv("ok", true);
-  w.kv("policy", s.policy_name());
-  w.kv("time", s.time());
-  w.kv("frontier", s.frontier());
-  w.kv("alive", static_cast<std::uint64_t>(s.alive_count()));
-  w.kv("pending", static_cast<std::uint64_t>(s.pending_count()));
-  w.kv("finished", s.finished());
-  write_result_fields(w, s.partial());
-  w.end_object();
-  return os.str();
-}
-
-std::string finish_line(const RequestId& id, const SimResult& r) {
-  std::ostringstream os;
-  JsonWriter w(os);
-  w.begin_object();
-  if (id.present) w.kv("id", id.value);
-  w.kv("ok", true);
-  write_result_fields(w, r);
-  w.key("records");
-  w.begin_array();
-  for (const JobRecord& rec : r.records) {
-    w.begin_object();
-    w.kv("job", static_cast<std::uint64_t>(rec.job.id));
-    w.kv("release", rec.job.release);
-    w.kv("completion", rec.completion);
-    w.end_object();
+void write_ok_fields(JsonWriter& w, const Reply& r) {
+  switch (r.verb) {
+    case Verb::kOpen:
+    case Verb::kRestore:
+      w.kv("session", static_cast<std::uint64_t>(r.session));
+      w.kv("shard", static_cast<std::uint64_t>(r.shard < 0 ? 0 : r.shard));
+      break;
+    case Verb::kQuery:
+      w.kv("policy", r.policy);
+      w.kv("time", r.time);
+      w.kv("frontier", r.frontier);
+      w.kv("alive", r.alive);
+      w.kv("pending", r.pending);
+      w.kv("finished", r.finished);
+      write_result_fields(w, *r.result);
+      break;
+    case Verb::kFinish:
+      write_result_fields(w, *r.result);
+      w.key("records");
+      w.begin_array();
+      for (const JobRecord& rec : r.result->records) {
+        w.begin_object();
+        w.kv("job", static_cast<std::uint64_t>(rec.job.id));
+        w.kv("release", rec.job.release);
+        w.kv("completion", rec.completion);
+        w.end_object();
+      }
+      w.end_array();
+      break;
+    case Verb::kStats:
+      w.kv("format", "prometheus");
+      w.kv("metrics", r.metrics);
+      w.kv("exposition", *r.text);
+      break;
+    case Verb::kDump:
+      if (r.text != nullptr) {  // with a path the reply is a plain ok
+        w.kv("kind", "parsched-flight-record");
+        w.kv("dump", *r.text);
+      }
+      break;
+    case Verb::kEvacuate:
+      w.kv("shard", static_cast<std::uint64_t>(r.shard));
+      w.kv("migrated", static_cast<std::uint64_t>(r.migrated));
+      break;
+    case Verb::kCluster:
+      w.kv("shards", static_cast<std::uint64_t>(r.shard_sessions.size()));
+      w.kv("sessions", r.sessions);
+      w.key("shard_sessions");
+      w.begin_array();
+      for (const std::uint64_t n : r.shard_sessions) w.value(n);
+      w.end_array();
+      w.key("in_ring");
+      w.begin_array();
+      for (const bool in : r.in_ring) w.value(in);
+      w.end_array();
+      break;
+    default:
+      break;
   }
-  w.end_array();
-  w.end_object();
-  return os.str();
 }
 
-std::string ok_line(const RequestId& id) {
+std::string encode_line(const Reply& r) {
   std::ostringstream os;
   JsonWriter w(os);
   w.begin_object();
-  if (id.present) w.kv("id", id.value);
-  w.kv("ok", true);
+  if (r.id.present) w.kv("id", r.id.number);
+  w.kv("ok", r.status == ReplyStatus::kOk);
+  switch (r.status) {
+    case ReplyStatus::kOk:
+      write_ok_fields(w, r);
+      break;
+    case ReplyStatus::kError:
+      w.kv("error", r.error);
+      break;
+    case ReplyStatus::kReject:
+      w.kv("error", std::string(verb_name(r.verb)) + " rejected");
+      w.kv("reject", to_string(r.verdict));
+      break;
+  }
   w.end_object();
   return os.str();
-}
-
-std::string stats_line(const RequestId& id, const obs::MetricsSnapshot& snap) {
-  std::ostringstream os;
-  JsonWriter w(os);
-  w.begin_object();
-  if (id.present) w.kv("id", id.value);
-  w.kv("ok", true);
-  w.kv("format", "prometheus");
-  w.kv("metrics", static_cast<std::uint64_t>(snap.samples.size()));
-  w.kv("exposition", obs::exposition_text(snap));
-  w.end_object();
-  return os.str();
-}
-
-std::string dump_line(const RequestId& id, const std::string& jsonl) {
-  std::ostringstream os;
-  JsonWriter w(os);
-  w.begin_object();
-  if (id.present) w.kv("id", id.value);
-  w.kv("ok", true);
-  w.kv("kind", "parsched-flight-record");
-  w.kv("dump", jsonl);
-  w.end_object();
-  return os.str();
-}
-
-std::string session_line(const RequestId& id, SessionId sid, int shard) {
-  std::ostringstream os;
-  JsonWriter w(os);
-  w.begin_object();
-  if (id.present) w.kv("id", id.value);
-  w.kv("ok", true);
-  w.kv("session", static_cast<std::uint64_t>(sid));
-  w.kv("shard", static_cast<std::uint64_t>(shard < 0 ? 0 : shard));
-  w.end_object();
-  return os.str();
-}
-
-const char* reject_reason(Submit s) {
-  return s == Submit::kAccepted ? nullptr : to_string(s);
 }
 
 }  // namespace
 
 bool ProtocolHandler::handle_line(std::string_view line, WriteFn write) {
-  RequestId id;
-  JsonValue req;
-  std::string parse_error;
-  if (!obs::json_parse(line, req, &parse_error)) {
-    write(error_line(id, "bad JSON: " + parse_error));
-    return true;
-  }
-  if (!req.is_object()) {
-    write(error_line(id, "request must be a JSON object"));
-    return true;
-  }
-  if (const JsonValue* idv = req.find("id");
-      idv != nullptr && idv->is_number()) {
-    id.present = true;
-    id.value = idv->number;
-  }
-  const std::string op = req.string_or("op", "");
-  if (op.empty()) {
-    write(error_line(id, "missing op"));
-    return true;
-  }
-
-  try {
-    if (op == "ping") {
-      write(ok_line(id));
-      return true;
-    }
-    if (op == "stats") {
-      // Live telemetry: a point-in-time merged snapshot (cluster
-      // counters + per-shard serve.shard<i>.* + aggregated totals)
-      // rendered as Prometheus text exposition, answered synchronously
-      // (no strand — stats must work even when every session is
-      // wedged).
-      if (cluster_.config().metrics == nullptr) {
-        write(error_line(id, "stats: server has no metrics registry"));
-        return true;
-      }
-      write(stats_line(id, cluster_.merged_snapshot()));
-      return true;
-    }
-    if (op == "dump") {
-      // On-demand flight-recorder dump: inline by default, to a file when
-      // "path" is given. Synchronous for the same reason as stats.
-      const obs::FlightRecorder* rec = cluster_.config().recorder;
-      if (rec == nullptr) {
-        write(error_line(id, "dump: server has no flight recorder"));
-        return true;
-      }
-      std::ostringstream dump;
-      rec->dump_jsonl(dump, "dump_verb");
-      const std::string path = req.string_or("path", "");
-      if (!path.empty()) {
-        auto out = open_output(path, "flight-recorder dump");
-        out << dump.str();
-        finish_output(out, path);
-        write(ok_line(id));
-      } else {
-        write(dump_line(id, dump.str()));
-      }
-      return true;
-    }
-    if (op == "shutdown") {
-      cluster_.drain();  // flushes every queued response first
-      write(ok_line(id));
-      return false;
-    }
-    if (op == "cluster") {
-      std::ostringstream os;
-      JsonWriter w(os);
-      w.begin_object();
-      if (id.present) w.kv("id", id.value);
-      w.kv("ok", true);
-      const int n = cluster_.shards();
-      w.kv("shards", static_cast<std::uint64_t>(n));
-      w.kv("sessions", static_cast<std::uint64_t>(
-                           cluster_.session_count()));
-      w.key("shard_sessions");
-      w.begin_array();
-      for (int i = 0; i < n; ++i) {
-        w.value(static_cast<std::uint64_t>(cluster_.session_count(i)));
-      }
-      w.end_array();
-      w.key("in_ring");
-      w.begin_array();
-      for (int i = 0; i < n; ++i) w.value(cluster_.shard_in_ring(i));
-      w.end_array();
-      w.end_object();
-      write(os.str());
-      return true;
-    }
-    if (op == "evacuate") {
-      const JsonValue* shv = req.find("shard");
-      if (shv == nullptr || !shv->is_number()) {
-        write(error_line(id, "evacuate requires shard (number)"));
-        return true;
-      }
-      const int shard = static_cast<int>(shv->number);
-      const int migrated = cluster_.evacuate(shard);
-      std::ostringstream os;
-      JsonWriter w(os);
-      w.begin_object();
-      if (id.present) w.kv("id", id.value);
-      w.kv("ok", true);
-      w.kv("shard", static_cast<std::uint64_t>(shard));
-      w.kv("migrated", static_cast<std::uint64_t>(migrated));
-      w.end_object();
-      write(os.str());
-      return true;
-    }
-    if (op == "open") {
-      Session::Config scfg;
-      scfg.policy = req.string_or("policy", "equi");
-      scfg.machines = static_cast<int>(req.number_or("machines", 1.0));
-      scfg.speed = req.number_or("speed", 1.0);
-      const auto key =
-          static_cast<std::uint64_t>(req.number_or("key", 0.0));
-      SessionId sid = 0;
-      int shard = -1;
-      const Submit verdict = cluster_.open(scfg, sid, key, &shard);
-      if (verdict != Submit::kAccepted) {
-        write(error_line(id, "open rejected", reject_reason(verdict)));
-        return true;
-      }
-      write(session_line(id, sid, shard));
-      return true;
-    }
-    if (op == "restore") {
-      const std::string path = req.string_or("path", "");
-      if (path.empty()) {
-        write(error_line(id, "restore requires path"));
-        return true;
-      }
-      auto session = Session::restore(read_snapshot_file(path), nullptr);
-      SessionId sid = 0;
-      int shard = -1;
-      const Submit verdict =
-          cluster_.adopt(std::move(session), sid, 0, &shard);
-      if (verdict != Submit::kAccepted) {
-        write(error_line(id, "restore rejected", reject_reason(verdict)));
-        return true;
-      }
-      write(session_line(id, sid, shard));
-      return true;
-    }
-
-    // Everything below addresses an existing session.
-    const JsonValue* sidv = req.find("session");
-    if (sidv == nullptr || !sidv->is_number()) {
-      write(error_line(id, "missing session"));
-      return true;
-    }
-    const auto sid = static_cast<SessionId>(sidv->number);
-
-    if (op == "close") {
-      const Submit verdict = cluster_.close(sid);
-      if (verdict != Submit::kAccepted) {
-        write(error_line(id, "close rejected", reject_reason(verdict)));
-        return true;
-      }
-      write(ok_line(id));
-      return true;
-    }
-    if (op == "migrate") {
-      const JsonValue* shv = req.find("shard");
-      if (shv == nullptr || !shv->is_number()) {
-        write(error_line(id, "migrate requires shard (number)"));
-        return true;
-      }
-      const Submit verdict =
-          cluster_.migrate(sid, static_cast<int>(shv->number));
-      if (verdict != Submit::kAccepted) {
-        write(error_line(id, "migrate rejected", reject_reason(verdict)));
-        return true;
-      }
-      write(ok_line(id));
-      return true;
-    }
-
-    std::function<void(Session&)> task;
-    if (op == "admit") {
-      const JsonValue* jobv = req.find("job");
-      if (jobv == nullptr) {
-        write(error_line(id, "admit requires job"));
-        return true;
-      }
-      Job job = parse_job(*jobv);
-      task = [id, write, job = std::move(job)](Session& s) {
-        s.admit(job);
-        write(ok_line(id));
-      };
-    } else if (op == "advance") {
-      const JsonValue* tov = req.find("to");
-      if (tov == nullptr || !tov->is_number()) {
-        write(error_line(id, "advance requires to (number)"));
-        return true;
-      }
-      const double to = tov->number;
-      task = [id, write, to](Session& s) {
-        s.advance(to);
-        write(ok_line(id));
-      };
-    } else if (op == "query") {
-      task = [id, write](Session& s) { write(query_line(id, s)); };
-    } else if (op == "snapshot") {
-      const std::string path = req.string_or("path", "");
-      if (path.empty()) {
-        write(error_line(id, "snapshot requires path"));
-        return true;
-      }
-      task = [id, write, path](Session& s) {
-        const std::string blob = s.snapshot();
-        auto out = open_output(path, "session snapshot");
-        out.write(blob.data(), static_cast<std::streamsize>(blob.size()));
-        finish_output(out, path);
-        write(ok_line(id));
-      };
-    } else if (op == "finish") {
-      task = [id, write](Session& s) {
-        s.finish();
-        write(finish_line(id, s.result()));
-      };
-    } else {
-      write(error_line(id, "unknown op: " + op));
-      return true;
-    }
-
-    // Wrap so an op failure answers the request instead of killing the
-    // strand silently.
-    const Submit verdict = cluster_.submit(
-        sid, [id, write, task = std::move(task)](Session& s) {
-          try {
-            task(s);
-          } catch (const std::exception& e) {
-            write(error_line(id, e.what()));
-          }
-        });
-    if (verdict != Submit::kAccepted) {
-      write(error_line(id, std::string(op) + " rejected",
-                       reject_reason(verdict)));
-    }
-  } catch (const std::exception& e) {
-    write(error_line(id, e.what()));
-  }
-  return true;
+  return execute(decode_line(line), cluster_,
+                 Replier{&encode_line, std::move(write)});
 }
 
 }  // namespace parsched::serve

@@ -1,4 +1,4 @@
-// parsched — the serve NDJSON protocol.
+// parsched — the serve NDJSON protocol: a codec around the verb table.
 //
 // One request per line, one JSON object per request; every response is a
 // single compact JSON line carrying the request's "id" back. Grammar
@@ -41,33 +41,37 @@
 //
 // stats and dump answer synchronously (never queued on a strand): the
 // telemetry plane must respond even when every session is wedged. stats
-// requires Server::Config::metrics, dump requires Config::recorder;
+// requires Cluster::Config::metrics, dump requires Config::recorder;
 // without them the verb answers ok:false.
 //
 // Failures answer {"id":..,"ok":false,"error":"..."}; load rejections
-// (queue full, draining, session cap) additionally carry
-// {"reject":"queue_full"} so clients can distinguish backpressure from
-// caller bugs. Curve specs are "par", "seq", or "pow:<alpha>".
+// (queue full, draining, session cap) answer
+// {"error":"<op> rejected","reject":"queue_full"} so clients can tell
+// backpressure from caller bugs. Curve specs are "par", "seq", or
+// "pow:<alpha>". Integer fields (machines, key, session, shard, job.id)
+// must hold an integral value in their type's range; anything else
+// answers ok:false naming the field. A request naming an unknown op
+// must still carry a session: {"op":"warp"} answers "missing session".
 //
-// Session operations execute asynchronously on the shard servers'
-// strands; their responses are emitted from pool threads via the
-// WriteFn, which must therefore be thread-safe (the transports wrap a
-// mutex around the output). Per session, responses arrive in request
-// order; across sessions they interleave.
+// This file is the NDJSON codec only. handle_line() decodes a line into
+// a serve::Command (serve/command.hpp), execute() runs the verb, and
+// the reply is encoded back into one line; PBIN (serve/binproto.hpp)
+// wraps the same execute() with its own codec in handle_frame(). Strand
+// verbs answer from pool threads through the WriteFn, which must
+// therefore be thread-safe (the transports wrap a mutex around the
+// output). Per session, responses arrive in request order; across
+// sessions they interleave.
 //
 // The handler is backed by a serve::Cluster. A Server::Config
-// constructs the single-shard special case (the PR-4 shape every
-// existing caller relies on); a Cluster::Config opens the sharded
-// plane. Beside NDJSON the same handler speaks PBIN, the binary
-// protocol (serve/binproto.hpp): handle_frame() is the frame-payload
-// twin of handle_line(), and both surfaces drive the same cluster.
+// constructs the single-shard special case; a Cluster::Config opens the
+// sharded plane.
 #pragma once
 
-#include <functional>
 #include <string>
 #include <string_view>
 
 #include "serve/cluster.hpp"
+#include "serve/command.hpp"
 
 namespace parsched::serve {
 
@@ -75,7 +79,7 @@ class ProtocolHandler {
  public:
   /// Thread-safe sink for one complete response line (NDJSON, no
   /// trailing '\n') or one response frame payload (PBIN, unframed).
-  using WriteFn = std::function<void(const std::string&)>;
+  using WriteFn = serve::WriteFn;
 
   /// Single-shard compatibility: one Server-shaped shard.
   explicit ProtocolHandler(Server::Config cfg)

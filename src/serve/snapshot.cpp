@@ -13,59 +13,17 @@ namespace {
 
 constexpr char kMagic[4] = {'P', 'S', 'N', 'P'};
 
-// The byte-level codec lives in serve/wire.hpp, shared with the PBIN
-// binary protocol (serve/binproto) so both formats carry doubles as raw
-// IEEE-754 bits.
-using Writer = WireWriter;
-using Reader = WireReader;
+// The byte-level codec and the curve and phase-list codecs live in
+// serve/wire.hpp, shared with the PBIN binary protocol (serve/binproto)
+// so both formats carry the same bytes for them.
 
-// ---- field codecs ---------------------------------------------------------
-
-void put_curve(Writer& w, const SpeedupCurve& c) {
-  w.u8(static_cast<std::uint8_t>(c.kind()));
-  w.f64(c.alpha());
-  if (c.kind() == SpeedupCurve::Kind::kPiecewiseLinear) {
-    const auto& knots = c.knots();
-    w.size(knots.size());
-    for (const auto& [x, y] : knots) {
-      w.f64(x);
-      w.f64(y);
-    }
-  }
-}
-
-SpeedupCurve get_curve(Reader& r) {
-  const auto kind = static_cast<SpeedupCurve::Kind>(r.u8());
-  const double alpha = r.f64();
-  switch (kind) {
-    case SpeedupCurve::Kind::kFullyParallel:
-      return SpeedupCurve::fully_parallel();
-    case SpeedupCurve::Kind::kSequential:
-      return SpeedupCurve::sequential();
-    case SpeedupCurve::Kind::kPowerLaw:
-      return SpeedupCurve::power_law(alpha);
-    case SpeedupCurve::Kind::kPiecewiseLinear: {
-      const std::size_t n = r.size();
-      std::vector<std::pair<double, double>> knots;
-      knots.reserve(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        const double x = r.f64();
-        const double y = r.f64();
-        knots.emplace_back(x, y);
-      }
-      return SpeedupCurve::piecewise_linear(std::move(knots));
-    }
-  }
-  r.fail("unknown speedup-curve kind");
-}
-
-void put_tag(Writer& w, const JobTag& t) {
+void put_tag(WireWriter& w, const JobTag& t) {
   w.i64(t.phase);
   w.u8(static_cast<std::uint8_t>(t.cls));
   w.i64(t.index);
 }
 
-JobTag get_tag(Reader& r) {
+JobTag get_tag(WireReader& r) {
   JobTag t;
   t.phase = static_cast<int>(r.i64());
   const std::uint8_t cls = r.u8();
@@ -77,28 +35,7 @@ JobTag get_tag(Reader& r) {
   return t;
 }
 
-void put_phases(Writer& w, const std::vector<JobPhase>& phases) {
-  w.size(phases.size());
-  for (const JobPhase& p : phases) {
-    w.f64(p.work);
-    put_curve(w, p.curve);
-  }
-}
-
-std::vector<JobPhase> get_phases(Reader& r) {
-  const std::size_t n = r.size();
-  std::vector<JobPhase> phases;
-  phases.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    JobPhase p;
-    p.work = r.f64();
-    p.curve = get_curve(r);
-    phases.push_back(std::move(p));
-  }
-  return phases;
-}
-
-void put_job(Writer& w, const Job& j) {
+void put_job(WireWriter& w, const Job& j) {
   w.u32(j.id);
   w.f64(j.release);
   w.f64(j.size);
@@ -108,7 +45,7 @@ void put_job(Writer& w, const Job& j) {
   put_phases(w, j.phases);
 }
 
-Job get_job(Reader& r) {
+Job get_job(WireReader& r) {
   Job j;
   j.id = r.u32();
   j.release = r.f64();
@@ -120,7 +57,7 @@ Job get_job(Reader& r) {
   return j;
 }
 
-void put_alive(Writer& w, const AliveJob& a) {
+void put_alive(WireWriter& w, const AliveJob& a) {
   w.u32(a.id);
   w.f64(a.release);
   w.f64(a.size);
@@ -134,7 +71,7 @@ void put_alive(Writer& w, const AliveJob& a) {
   w.f64(a.phase_remaining);
 }
 
-AliveJob get_alive(Reader& r) {
+AliveJob get_alive(WireReader& r) {
   AliveJob a;
   a.id = r.u32();
   a.release = r.f64();
@@ -150,7 +87,7 @@ AliveJob get_alive(Reader& r) {
   return a;
 }
 
-void put_result(Writer& w, const SimResult& res) {
+void put_result(WireWriter& w, const SimResult& res) {
   w.size(res.records.size());
   for (const JobRecord& rec : res.records) {
     put_job(w, rec.job);
@@ -164,7 +101,7 @@ void put_result(Writer& w, const SimResult& res) {
   w.u64(res.events);
 }
 
-SimResult get_result(Reader& r) {
+SimResult get_result(WireReader& r) {
   SimResult res;
   const std::size_t n = r.size();
   res.records.reserve(n);
@@ -186,10 +123,10 @@ SimResult get_result(Reader& r) {
 }  // namespace
 
 std::string encode_snapshot(const SessionSnapshot& snap) {
-  Writer w;
+  WireWriter w;
   w.str(std::string_view(kMagic, sizeof(kMagic)));
   // (the magic is length-prefixed too — uniformity beats 4 saved bytes)
-  Writer body;
+  WireWriter body;
   body.u32(kSnapshotVersion);
   body.str(snap.policy);
   body.str(snap.scheduler_state);
@@ -226,7 +163,7 @@ std::string encode_snapshot(const SessionSnapshot& snap) {
 }
 
 SessionSnapshot decode_snapshot(std::string_view blob) {
-  Reader r(blob, "snapshot");
+  WireReader r(blob, "snapshot");
   const std::string magic = r.str();
   if (magic != std::string_view(kMagic, sizeof(kMagic))) {
     r.fail("bad magic (not a parsched snapshot)");

@@ -21,6 +21,13 @@
 // WireReader throws std::invalid_argument on truncation or a failed
 // check, tagging the message with the byte offset and the `what` label
 // given at construction ("snapshot", "frame", ...).
+//
+// Above the byte level sit the two field codecs both formats share:
+// speedup curves (u8 kind, f64 alpha, and for piecewise-linear curves a
+// size-prefixed list of f64 knot pairs) and phase lists (size, then f64
+// work + curve per phase). A decoded curve goes through the checked
+// SpeedupCurve constructors, so a non-finite alpha or knot is rejected
+// at the boundary.
 #pragma once
 
 #include <cstdint>
@@ -29,6 +36,11 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <utility>
+#include <vector>
+
+#include "simcore/job.hpp"
+#include "speedup/curve.hpp"
 
 namespace parsched::serve {
 
@@ -152,5 +164,63 @@ class WireReader {
   std::string what_;
   std::size_t pos_ = 0;
 };
+
+// ---- shared field codecs --------------------------------------------------
+
+inline void put_curve(WireWriter& w, const SpeedupCurve& c) {
+  w.u8(static_cast<std::uint8_t>(c.kind()));
+  w.f64(c.alpha());
+  if (c.kind() == SpeedupCurve::Kind::kPiecewiseLinear) {
+    const auto& knots = c.knots();
+    w.size(knots.size());
+    for (const auto& [x, y] : knots) {
+      w.f64(x);
+      w.f64(y);
+    }
+  }
+}
+
+inline SpeedupCurve get_curve(WireReader& r) {
+  const auto kind = static_cast<SpeedupCurve::Kind>(r.u8());
+  const double alpha = r.f64();
+  switch (kind) {
+    case SpeedupCurve::Kind::kFullyParallel:
+      return SpeedupCurve::fully_parallel();
+    case SpeedupCurve::Kind::kSequential:
+      return SpeedupCurve::sequential();
+    case SpeedupCurve::Kind::kPowerLaw:
+      return SpeedupCurve::power_law(alpha);
+    case SpeedupCurve::Kind::kPiecewiseLinear: {
+      const std::size_t n = r.size();
+      std::vector<std::pair<double, double>> knots;
+      knots.reserve(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        const double x = r.f64();
+        knots.emplace_back(x, r.f64());
+      }
+      return SpeedupCurve::piecewise_linear(std::move(knots));
+    }
+  }
+  r.fail("unknown speedup-curve kind");
+}
+
+inline void put_phases(WireWriter& w, const std::vector<JobPhase>& phases) {
+  w.size(phases.size());
+  for (const JobPhase& p : phases) {
+    w.f64(p.work);
+    put_curve(w, p.curve);
+  }
+}
+
+inline std::vector<JobPhase> get_phases(WireReader& r) {
+  const std::size_t n = r.size();
+  std::vector<JobPhase> phases;
+  phases.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double work = r.f64();
+    phases.push_back({work, get_curve(r)});
+  }
+  return phases;
+}
 
 }  // namespace parsched::serve

@@ -188,6 +188,9 @@ Engine::Engine(int machines, EngineConfig config)
   if (!(cfg_.speed > 0.0)) {
     throw std::invalid_argument("engine speed must be positive");
   }
+  if (!std::isfinite(cfg_.speed)) {
+    throw std::invalid_argument("engine speed must be finite");
+  }
   audit_allocs_ = env::get_flag("PARSCHED_AUDIT");
 }
 

@@ -14,6 +14,7 @@
 #include "sched/registry.hpp"
 #include "serve/binproto.hpp"
 #include "serve/protocol.hpp"
+#include "serve/wire.hpp"
 #include "simcore/engine.hpp"
 #include "util/mathx.hpp"
 
@@ -373,6 +374,49 @@ TEST(EngineGuards, ServeRejectsNonFiniteAdmissionsOnBothWires) {
   const serve::BinResponse nan_resp = serve::parse_bin_response(
       frame_request(h, serve::bin_admit(3, sid, nan_release)));
   EXPECT_EQ(nan_resp.status, serve::BinStatus::kError) << nan_resp.error;
+
+  // Curve parameters straight off the wire: a power law with a NaN
+  // alpha and a piecewise-linear curve with an infinite knot. No
+  // SpeedupCurve can hold either, so the frames are written by hand.
+  const auto admit_with_curve = [sid](std::uint64_t rid, auto put_curve) {
+    serve::WireWriter w;
+    w.u8(static_cast<std::uint8_t>(serve::BinOp::kAdmit));
+    w.u64(rid);
+    w.u64(sid);
+    w.u32(static_cast<std::uint32_t>(rid));  // job id
+    w.f64(0.0);                              // release
+    w.f64(1.0);                              // size
+    w.f64(1.0);                              // weight
+    put_curve(w);
+    w.size(0);  // no phases
+    return w.take();
+  };
+  const double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const double kInf = std::numeric_limits<double>::infinity();
+  const serve::BinResponse nan_alpha = serve::parse_bin_response(
+      frame_request(h, admit_with_curve(10, [kNaN](serve::WireWriter& w) {
+                      w.u8(static_cast<std::uint8_t>(
+                          SpeedupCurve::Kind::kPowerLaw));
+                      w.f64(kNaN);
+                    })));
+  EXPECT_EQ(nan_alpha.status, serve::BinStatus::kError) << nan_alpha.error;
+  const serve::BinResponse inf_knot = serve::parse_bin_response(
+      frame_request(h, admit_with_curve(11, [kInf](serve::WireWriter& w) {
+                      w.u8(static_cast<std::uint8_t>(
+                          SpeedupCurve::Kind::kPiecewiseLinear));
+                      w.f64(0.5);
+                      w.size(3);
+                      for (const double v : {1.0, 1.0, 2.0, 1.5, kInf, 2.0}) {
+                        w.f64(v);
+                      }
+                    })));
+  EXPECT_EQ(inf_knot.status, serve::BinStatus::kError) << inf_knot.error;
+  // An infinite engine speed (only PBIN's raw f64 can carry one) opens
+  // no session.
+  const serve::BinResponse inf_speed = serve::parse_bin_response(
+      frame_request(h, serve::bin_open(12, "isrpt", 2, kInf)));
+  EXPECT_EQ(inf_speed.status, serve::BinStatus::kError) << inf_speed.error;
+  EXPECT_EQ(inf_speed.error, "engine speed must be finite");
 
   const std::string ok = line_request(
       h, R"({"op":"admit","id":4,"session":)" + session +

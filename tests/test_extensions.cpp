@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "sched/equi.hpp"
 #include "sched/intermediate_srpt.hpp"
@@ -51,6 +52,10 @@ TEST(SpeedAugmentation, FractionalSpeedSlowsDown) {
 TEST(SpeedAugmentation, RejectsNonPositiveSpeed) {
   EngineConfig cfg;
   cfg.speed = 0.0;
+  EXPECT_THROW(Engine(2, cfg), std::invalid_argument);
+  cfg.speed = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(Engine(2, cfg), std::invalid_argument);
+  cfg.speed = std::numeric_limits<double>::quiet_NaN();
   EXPECT_THROW(Engine(2, cfg), std::invalid_argument);
 }
 

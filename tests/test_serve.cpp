@@ -757,6 +757,34 @@ TEST(Protocol, ErrorsAndRejectionsAnswerEveryRequest) {
       R"({"op":"admit","id":9,"session":)" + s +
       R"(,"job":{"id":1,"release":6,"size":1,"curve":"pow:2"}})");
   EXPECT_FALSE(badcurve.bool_or("ok", true));
+  // Integer fields must hold an integral value in their type's range;
+  // the answer names the field. A cast of these was undefined.
+  const std::pair<std::string, std::string> bad_integers[] = {
+      {R"({"op":"open","id":10,"machines":1e10})", "machines"},
+      {R"({"op":"open","id":11,"machines":2.5})", "machines"},
+      {R"({"op":"open","id":12,"key":-1})", "key"},
+      {R"({"op":"query","id":13,"session":1e300})", "session"},
+      {R"({"op":"query","id":14,"session":-1})", "session"},
+      {R"({"op":"evacuate","id":15,"shard":1e300})", "shard"},
+      {R"({"op":"migrate","id":16,"session":)" + s + R"(,"shard":1e300})",
+       "shard"},
+      {R"({"op":"admit","id":17,"session":)" + s +
+           R"(,"job":{"id":-3,"release":6}})",
+       "job.id"},
+  };
+  for (const auto& [line, field] : bad_integers) {
+    const obs::JsonValue v = client.call_json(line);
+    EXPECT_FALSE(v.bool_or("ok", true)) << line;
+    EXPECT_EQ(v.string_or("error", "").rfind(field + " must be an integer", 0),
+              0u)
+        << line << " -> " << v.string_or("error", "");
+    EXPECT_EQ(v.string_or("reject", ""), "") << line;
+  }
+  // The session still serves after all of it.
+  EXPECT_TRUE(client
+                  .call_json(R"({"op":"admit","id":19,"session":)" + s +
+                             R"(,"job":{"id":2,"release":6,"size":1}})")
+                  .bool_or("ok", false));
 }
 
 // The live-telemetry verbs. stats/dump answer synchronously (they must

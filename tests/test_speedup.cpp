@@ -42,6 +42,9 @@ TEST(Curve, PowerLawBoundariesDegrade) {
             SpeedupCurve::Kind::kFullyParallel);
   EXPECT_THROW((void)SpeedupCurve::power_law(1.5), std::invalid_argument);
   EXPECT_THROW((void)SpeedupCurve::power_law(-0.1), std::invalid_argument);
+  EXPECT_THROW(
+      (void)SpeedupCurve::power_law(std::numeric_limits<double>::quiet_NaN()),
+      std::invalid_argument);
 }
 
 TEST(Curve, MarginalIsDecreasing) {
@@ -79,6 +82,17 @@ TEST(Curve, PiecewiseLinearRejectsNonConcave) {
       std::invalid_argument);
   EXPECT_THROW((void)SpeedupCurve::piecewise_linear({{2.0, 0.5}}),
                std::invalid_argument);  // decreasing
+  // Non-finite knots: an inf x or y and a NaN anywhere.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW((void)SpeedupCurve::piecewise_linear({{2.0, 1.5}, {kInf, 2.0}}),
+               std::invalid_argument);
+  EXPECT_THROW((void)SpeedupCurve::piecewise_linear({{2.0, kInf}}),
+               std::invalid_argument);
+  EXPECT_THROW((void)SpeedupCurve::piecewise_linear({{kNaN, 1.5}}),
+               std::invalid_argument);
+  EXPECT_THROW((void)SpeedupCurve::piecewise_linear({{2.0, 1.5}, {3.0, kNaN}}),
+               std::invalid_argument);
 }
 
 TEST(Curve, ValidityChecker) {
@@ -91,15 +105,18 @@ TEST(Curve, ValidityChecker) {
 }
 
 TEST(Curve, ValidityCheckerRejectsNonFiniteRates) {
-  // A NaN knot sneaks through piecewise_linear's construction checks
-  // (NaN fails every comparison, so "y1 < y0" and "slope > prev" are
-  // both false) and then poisons every interpolated rate() above x = 1.
-  // The validator must reject such a curve explicitly rather than let
-  // NaN sail through its monotonicity/concavity comparisons too.
+  // A NaN knot used to sneak through piecewise_linear's construction
+  // checks (NaN fails every comparison, so "y1 < y0" and "slope > prev"
+  // were both false) and then poisoned every interpolated rate() above
+  // x = 1. The constructor now rejects non-finite knots outright.
   const double nan = std::numeric_limits<double>::quiet_NaN();
-  const SpeedupCurve c = SpeedupCurve::piecewise_linear({{2.0, nan}});
-  ASSERT_TRUE(std::isnan(c.rate(1.5)));  // the hazard is real
-  EXPECT_FALSE(is_valid_speedup_curve(c));
+  EXPECT_THROW((void)SpeedupCurve::piecewise_linear({{2.0, nan}}),
+               std::invalid_argument);
+  // The validator keeps its own explicit guard: sampled out to x = inf,
+  // even the identity curve yields Γ(inf) = inf, whose NaN slopes would
+  // sail through the monotonicity/concavity comparisons.
+  EXPECT_FALSE(is_valid_speedup_curve(
+      SpeedupCurve::fully_parallel(), std::numeric_limits<double>::infinity()));
 }
 
 TEST(Curve, EqualityAndToString) {
