@@ -91,6 +91,8 @@ void write_run_stats(JsonWriter& w, const RunStats& s) {
   w.kv("decide_seconds", s.decide_seconds);
   w.kv("solver_seconds", s.solver_seconds);
   w.kv("observer_seconds", s.observer_seconds);
+  w.kv("rates_seconds", s.rates_seconds);
+  w.kv("sweep_seconds", s.sweep_seconds);
   w.kv("decisions", s.decisions);
   w.kv("arrivals", s.arrivals);
   w.kv("completions", s.completions);

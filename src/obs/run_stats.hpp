@@ -16,6 +16,15 @@
 //                     idle jump alike (on_arrival/on_completion callbacks
 //                     included)
 //   wall_seconds      whole run; >= the sum of the three buckets
+//
+// Two sub-buckets of solver_seconds name the layers a decision step
+// spends it in (they never leave it, so rates + sweep <= solver):
+//   rates_seconds     share validation, Γ rates and the event-time minimum
+//                     of each fresh decision (Engine::compute_rates)
+//   sweep_seconds     the advance sweep through completion bookkeeping
+//                     (remaining work, fractional flow, phase changes,
+//                     the completion swap-remove), on_completion
+//                     callbacks excluded
 #pragma once
 
 #include <cstdint>
@@ -46,6 +55,8 @@ struct RunStats {
   double decide_seconds = 0.0;
   double solver_seconds = 0.0;
   double observer_seconds = 0.0;
+  double rates_seconds = 0.0;  ///< part of solver_seconds
+  double sweep_seconds = 0.0;  ///< part of solver_seconds
 
   std::uint64_t decisions = 0;
   std::uint64_t arrivals = 0;

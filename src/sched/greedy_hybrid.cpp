@@ -17,6 +17,7 @@ GreedyHybrid::GreedyHybrid(double max_quantum) : max_quantum_(max_quantum) {
 PARSCHED_HOT void GreedyHybrid::allocate(const SchedulerContext& ctx,
                                          Allocation& out) {
   const auto alive = ctx.alive();
+  const auto remaining = ctx.remaining();
   const std::size_t n = alive.size();
   const int m = ctx.machines();
   out.reset(n);
@@ -29,8 +30,8 @@ PARSCHED_HOT void GreedyHybrid::allocate(const SchedulerContext& ctx,
   granted_.assign(n, 0);
   heap_.clear();
   for (std::size_t i = 0; i < n; ++i) {
-    heap_.push_back({alive[i].curve.marginal(0.0) / alive[i].remaining,
-                     alive[i].remaining, i, 0});
+    heap_.push_back({alive[i].curve.marginal(0.0) / remaining[i],
+                     remaining[i], i, 0});
     std::push_heap(heap_.begin(), heap_.end());
   }
   for (int p = 0; p < m && !heap_.empty(); ++p) {
@@ -40,9 +41,10 @@ PARSCHED_HOT void GreedyHybrid::allocate(const SchedulerContext& ctx,
     if (top.priority <= 0.0) break;  // no further marginal gain anywhere
     granted_[top.idx] += 1;
     const AliveJob& j = alive[top.idx];
-    heap_.push_back({j.curve.marginal(static_cast<double>(granted_[top.idx])) /
-                         j.remaining,
-                     j.remaining, top.idx, granted_[top.idx]});
+    const double rem = remaining[top.idx];
+    heap_.push_back(
+        {j.curve.marginal(static_cast<double>(granted_[top.idx])) / rem, rem,
+         top.idx, granted_[top.idx]});
     std::push_heap(heap_.begin(), heap_.end());
   }
   for (std::size_t i = 0; i < n; ++i) {
@@ -70,7 +72,7 @@ PARSCHED_HOT void GreedyHybrid::allocate(const SchedulerContext& ctx,
       if (b <= 0.0) continue;
       // Crossing of a / (p_j - r_j s) and b / (p_k - r_k s), s = t - now:
       //   a (p_k - r_k s) = b (p_j - r_j s)
-      const double num = a * alive[k].remaining - b * alive[j].remaining;
+      const double num = a * remaining[k] - b * remaining[j];
       const double den = a * rate_[k] - b * rate_[j];
       if (den <= 0.0) continue;  // never crosses going forward
       const double s = num / den;

@@ -13,14 +13,16 @@ namespace parsched {
 
 namespace {
 
-/// Work this job has received so far — directly observable by a
+/// Work alive job i has received so far — directly observable by a
 /// non-clairvoyant scheduler (it is the integral of its own decisions),
 /// and equal to size - remaining.
-double processed(const AliveJob& j) { return j.size - j.remaining; }
+double processed(const SchedulerContext& ctx, std::size_t i) {
+  return ctx.alive()[i].size - ctx.remaining(i);
+}
 
 /// MLF level: processed in [2^k - 1, 2^{k+1} - 1)  <=>  k = floor(log2(p+1)).
-int mlf_level(const AliveJob& j) {
-  return static_cast<int>(std::floor(std::log2(processed(j) + 1.0)));
+int mlf_level(const SchedulerContext& ctx, std::size_t i) {
+  return static_cast<int>(std::floor(std::log2(processed(ctx, i) + 1.0)));
 }
 
 }  // namespace
@@ -51,8 +53,8 @@ PARSCHED_HOT void Setf::allocate(const SchedulerContext& ctx, Allocation& out) {
   std::iota(idx_.begin(), idx_.end(), std::size_t{0});
   std::nth_element(idx_.begin(), idx_.begin() + static_cast<std::ptrdiff_t>(m),
                    idx_.end(), [&](std::size_t a, std::size_t b) {
-                     const double pa = processed(alive[a]);
-                     const double pb = processed(alive[b]);
+                     const double pa = processed(ctx, a);
+                     const double pb = processed(ctx, b);
                      if (pa != pb) return pa < pb;
                      return alive[a].arrival_seq < alive[b].arrival_seq;
                    });
@@ -77,8 +79,8 @@ PARSCHED_HOT void Mlf::allocate(const SchedulerContext& ctx, Allocation& out) {
   idx_.resize(n);
   std::iota(idx_.begin(), idx_.end(), std::size_t{0});
   std::sort(idx_.begin(), idx_.end(), [&](std::size_t a, std::size_t b) {
-    const int la = mlf_level(alive[a]);
-    const int lb = mlf_level(alive[b]);
+    const int la = mlf_level(ctx, a);
+    const int lb = mlf_level(ctx, b);
     if (la != lb) return la < lb;
     return alive[a].arrival_seq < alive[b].arrival_seq;
   });
@@ -89,9 +91,8 @@ PARSCHED_HOT void Mlf::allocate(const SchedulerContext& ctx, Allocation& out) {
     // A served job crosses into the next level when its processed work
     // reaches 2^{level+1} - 1; rate at share 1 is Γ(1) = 1, so the
     // crossing time is exact.
-    const double threshold =
-        std::exp2(mlf_level(alive[i]) + 1) - 1.0;
-    const double dt = threshold - processed(alive[i]);
+    const double threshold = std::exp2(mlf_level(ctx, i) + 1) - 1.0;
+    const double dt = threshold - processed(ctx, i);
     if (dt > 1e-12) horizon = std::min(horizon, ctx.time() + dt);
   }
   out.reconsider_at = horizon;

@@ -22,11 +22,12 @@ PARSCHED_HOT void WeightedIsrpt::allocate(const SchedulerContext& ctx,
     return;
   }
   // Select the m jobs with least remaining/weight (selection, not sort).
+  const auto remaining = ctx.remaining();
   idx_.resize(n);
   std::iota(idx_.begin(), idx_.end(), std::size_t{0});
   auto less = [&](std::size_t a, std::size_t b) {
-    const double da = alive[a].remaining / alive[a].weight;
-    const double db = alive[b].remaining / alive[b].weight;
+    const double da = remaining[a] / alive[a].weight;
+    const double db = remaining[b] / alive[b].weight;
     if (da != db) return da < db;
     if (alive[a].release != alive[b].release) {
       return alive[a].release < alive[b].release;

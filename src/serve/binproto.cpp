@@ -374,8 +374,12 @@ BinResponse parse_bin_response(std::string_view payload) {
       break;
     }
     case BinOp::kStats:
-    case BinOp::kDump:
       out.text = r.str();
+      break;
+    case BinOp::kDump:
+      // An inline dump carries the record; a dump written to a file
+      // answers a bare ok.
+      if (!r.done()) out.text = r.str();
       break;
     case BinOp::kEvacuate:
       out.migrated = static_cast<int>(r.u32());

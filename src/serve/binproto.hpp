@@ -163,7 +163,8 @@ struct BinResponse {
   };
   std::vector<Record> records;  ///< finish
 
-  std::string text;       ///< stats exposition / dump JSONL
+  std::string text;       ///< stats exposition / inline dump JSONL (empty
+                          ///< for a dump written to a file)
   int migrated = 0;       ///< evacuate
   int shards = 0;         ///< cluster
   std::uint64_t sessions = 0;          ///< cluster (total)

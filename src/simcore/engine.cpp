@@ -31,9 +31,10 @@ double pwl_rate_from_alive(const void* ctx, std::size_t i, double x) {
 /// A job has a pending rate-0 event when it would complete, or advance a
 /// phase, on its first visit without being served: only fresh admissions
 /// can (a swept survivor is above tolerance on both counts).
-bool has_rate0_event(const AliveJob& a, double phase_remaining, double ctol) {
+bool has_rate0_event(const AliveJob& a, double remaining,
+                     double phase_remaining, double ctol) {
   const double tol = ctol * std::max(1.0, a.size);
-  return a.remaining <= tol ||
+  return remaining <= tol ||
          (a.phase + 1 < a.phases.size() && phase_remaining <= tol);
 }
 
@@ -105,13 +106,14 @@ void AliveSoA::rebuild(std::span<const AliveJob> alive) {
   for (const AliveJob& a : alive) push_back(a);
 }
 
-// PARSCHED_AUDIT cross-check: every column the records also hold must
-// mirror them bit-for-bit, qfix must be the coefficient of the job's
-// current remaining work, and q_all_ their exact sum. A divergence means a
-// sync site (admit / advance / phase change / completion swap / restore)
-// was missed, and trips here at the step that caused it rather than
-// surfacing later as a wrong rate or flow. (phase_remaining has no record
-// to mirror: the columns hold the authoritative copy.)
+// PARSCHED_AUDIT cross-check: every column the records also keep current
+// (size, alpha, kind) must mirror them bit-for-bit, qfix must be the
+// coefficient of the job's current remaining work, and q_all_ their exact
+// sum. A divergence means a sync site (admit / advance / phase change /
+// completion swap / restore) was missed, and trips here at the step that
+// caused it rather than surfacing later as a wrong rate or flow.
+// (remaining and phase_remaining have no record to mirror: the columns
+// hold the authoritative copies.)
 void Engine::audit_soa() const {
   const std::size_t n = alive_.size();
   PARSCHED_CHECK(soa_.count() == n && soa_.size.size() == n &&
@@ -125,15 +127,13 @@ void Engine::audit_soa() const {
   QSum q = 0;
   for (std::size_t i = 0; i < n; ++i) {
     const AliveJob& a = alive_[i];
-    PARSCHED_CHECK(same(soa_.remaining[i], a.remaining),
-                   "SoA remaining diverged from alive job");
     PARSCHED_CHECK(same(soa_.size[i], a.size),
                    "SoA size diverged from alive job");
     PARSCHED_CHECK(same(soa_.alpha[i], a.curve.alpha()),
                    "SoA alpha diverged from alive job");
     PARSCHED_CHECK(soa_.kind[i] == static_cast<std::uint8_t>(a.curve.kind()),
                    "SoA curve kind diverged from alive job");
-    PARSCHED_CHECK(soa_.qfix[i] == to_qfix(a.remaining / a.size),
+    PARSCHED_CHECK(soa_.qfix[i] == to_qfix(soa_.remaining[i] / a.size),
                    "SoA qfix diverged from the job's remaining work");
     q += soa_.qfix[i];
   }
@@ -174,6 +174,39 @@ std::string stall_message(double t, const std::string& detail) {
   return os.str();
 }
 
+/// The snapshot fields whose bad values the engine cannot survive: a
+/// non-finite clock or release spins the event loop forever, a release
+/// out of order or behind the frontier is silently admitted at the wrong
+/// time, and a remaining work outside [0, size] (NaN included) poisons
+/// every flow figure. import_state() checks them before it touches any
+/// engine state, so a rejected snapshot leaves the engine as it was.
+void validate_state(const EngineState& s) {
+  if (!(std::isfinite(s.now) && std::isfinite(s.frontier))) {
+    throw std::invalid_argument("snapshot time and frontier must be finite");
+  }
+  if (s.frontier < s.now) {
+    throw std::invalid_argument("snapshot frontier precedes its time");
+  }
+  for (std::size_t i = 0; i < s.pending.size(); ++i) {
+    const Job& j = s.pending[i];
+    validate_job(j);
+    if (j.release < s.frontier) {
+      throw std::invalid_argument(
+          "snapshot pending release precedes the frontier");
+    }
+    if (i > 0 && j.release < s.pending[i - 1].release) {
+      throw std::invalid_argument("snapshot pending releases out of order");
+    }
+  }
+  for (const AliveJob& a : s.alive) {
+    if (!(std::isfinite(a.remaining) && a.remaining >= 0.0 &&
+          a.remaining <= a.size)) {
+      throw std::invalid_argument(
+          "snapshot alive remaining work must be finite and in [0, size]");
+    }
+  }
+}
+
 }  // namespace
 
 SimulationStall::SimulationStall(double t)
@@ -201,9 +234,10 @@ void Engine::add_observer(Observer* obs) {
 
 double Engine::remaining_tagged(JobTag::Class cls, int phase) const {
   double total = 0.0;
-  for (const AliveJob& a : alive_) {
+  for (std::size_t i = 0; i < alive_.size(); ++i) {
+    const AliveJob& a = alive_[i];
     if (a.tag.cls == cls && (phase < 0 || a.tag.phase == phase)) {
-      total += a.remaining;
+      total += soa_.remaining[i];
     }
   }
   return total;
@@ -269,6 +303,8 @@ void Engine::finalize_run() {
       reg.timer("engine.decide").add(stats_->decide_seconds);
       reg.timer("engine.solver").add(stats_->solver_seconds);
       reg.timer("engine.observer").add(stats_->observer_seconds);
+      reg.timer("engine.rates").add(stats_->rates_seconds);
+      reg.timer("engine.sweep").add(stats_->sweep_seconds);
     }
   }
 }
@@ -331,7 +367,8 @@ void Engine::admit_job_now(Job j) {
   const std::size_t idx = alive_.size() - 1;
   soa_.push_back(added);
   q_all_ += soa_.qfix.back();
-  if (has_rate0_event(added, added.phase_remaining, cfg_.completion_tol)) {
+  if (has_rate0_event(added, added.remaining, added.phase_remaining,
+                      cfg_.completion_tol)) {
     due_.push_back(idx);
   }
   orders_.insert(added, idx);
@@ -409,6 +446,30 @@ PARSCHED_HOT void Engine::compute_rates(bool validate) {
   double dt_complete = kInf;
   std::size_t running = 0;
   run_dense_ = alloc.dense();
+  run_uniform_ = alloc.uniform() && !shares.empty() && shares[0] <= 1.0;
+  if (run_uniform_) {
+    // fill(s) with s <= 1: every curve is Γ(x) = x on [0, 1], so every
+    // job runs at speed·s — the bits rate_batch would give each element —
+    // and no per-job rate is stored. Correctly rounded division by r > 0
+    // is monotone, so min(phase_remaining) / r is exactly the minimum of
+    // the per-job quotients the general scan takes. The n equal shares
+    // total n·s, rounded once; the bound's 1e-9 slack dwarfs the rounding.
+    const std::size_t n = shares.size();
+    const double s = checked(shares[0]);
+    check_total(s * static_cast<double>(n));
+    uniform_rate_ = cfg_.speed * s;
+    run_n_ = n;
+    if (uniform_rate_ > 0.0) {
+      double least = kInf;
+      for (const double pr : soa_.phase_remaining) least = std::min(least, pr);
+      dt_complete = least / uniform_rate_;
+      running = n;
+    }
+    dt_complete_ = dt_complete;
+    rates_nonzero_ = running;
+    rates_valid_ = true;
+    return;
+  }
   if (run_dense_) {
     // fill(): every alive job holds the share, so the kernels run straight
     // over the columns and run_rate_ is indexed by alive position.
@@ -442,6 +503,7 @@ PARSCHED_HOT void Engine::compute_rates(bool validate) {
   // single-phase job, its completion). The minimum is order-independent,
   // so taking it in support order gives the bits an index-order scan
   // would.
+  run_n_ = run_rate_.size();
   for (std::size_t j = 0; j < run_rate_.size(); ++j) {
     const double r = run_rate_[j];
     if (r > 0.0) {
@@ -468,7 +530,7 @@ PARSCHED_HOT Engine::Step Engine::decision_step(double t_arrive,
     if (++result_.decisions > cfg_.max_decisions) {
       throw std::runtime_error("engine exceeded max_decisions guard");
     }
-    SchedulerContext ctx(now_, m_, alive_, orders_);
+    SchedulerContext ctx(now_, m_, alive_, soa_.remaining, orders_);
     // PARSCHED_AUDIT: warm allocate+rates sections must not touch the
     // heap — every scratch buffer is capacity-stable once a step at this
     // alive count has completed. (A policy-error throw inside the scope
@@ -499,10 +561,19 @@ PARSCHED_HOT Engine::Step Engine::decision_step(double t_arrive,
     if (stats_ != nullptr) {
       const double t = obs::monotonic_seconds();
       stats_->solver_seconds += t - t_section;  // validation + rates
+      stats_->rates_seconds += t - t_section;
       t_section = t;
     }
-    for (Observer* obs : observers_) {
-      obs->on_decision(now_, alive_, cached_alloc_.shares());
+    if (!observers_.empty()) {
+      // The column is the live copy of remaining work; observers read the
+      // records, so refresh them first (O(n), as every observer already
+      // is per decision). No observer, no refresh.
+      for (std::size_t i = 0; i < alive_.size(); ++i) {
+        alive_[i].remaining = soa_.remaining[i];
+      }
+      for (Observer* obs : observers_) {
+        obs->on_decision(now_, alive_, cached_alloc_.shares());
+      }
     }
     if (stats_ != nullptr) {
       const double t = obs::monotonic_seconds();
@@ -538,6 +609,7 @@ PARSCHED_HOT Engine::Step Engine::decision_step(double t_arrive,
   if (now_ + dt > horizon) return Step::kDeferred;
   has_cached_alloc_ = false;
   if (stats_ != nullptr) stats_->decision_interval.add(dt);
+  const double t_sweep0 = stats_ != nullptr ? obs::monotonic_seconds() : 0.0;
 
   // Advance remaining work and the fractional-flow integral, move
   // multi-phase jobs whose current phase drained to the next phase (which
@@ -589,7 +661,6 @@ PARSCHED_HOT Engine::Step Engine::decision_step(double t_arrive,
   double* const phase_rem = soa_.phase_remaining.data();
   const double* const sizes = soa_.size.data();
   std::int64_t* const qfix = soa_.qfix.data();
-  AliveJob* const jobs = alive_.data();
   QSum flow_delta = 0;  // Σ (c − qfix_old) over visited jobs
   QSum q_delta = 0;     // Σ (qfix_new − qfix_old) over visited jobs
   std::size_t visited = 0;
@@ -605,13 +676,17 @@ PARSCHED_HOT Engine::Step Engine::decision_step(double t_arrive,
     q_delta += q_new - q_old;
     qfix[i] = q_new;
     rem[i] = after;
-    jobs[i].remaining = after;
     const double pr = std::max(0.0, phase_rem[i] - r * dt);
     phase_rem[i] = pr;
     const double tol = ctol * std::max(1.0, size);
     if (std::min(pr, after) <= tol) comp_idx_.push_back(i);
   };
-  if (run_dense_) {
+  if (run_uniform_) {
+    const double r = uniform_rate_;
+    if (r != 0.0) {  // lint: float-eq-ok
+      for (std::size_t i = 0; i < alive_.size(); ++i) advance(i, r);
+    }
+  } else if (run_dense_) {
     const double* const rate = run_rate_.data();
     for (std::size_t i = 0; i < alive_.size(); ++i) {
       if (rate[i] != 0.0) advance(i, rate[i]);  // lint: float-eq-ok
@@ -637,13 +712,13 @@ PARSCHED_HOT Engine::Step Engine::decision_step(double t_arrive,
   }
   for (const std::size_t i : due_) {
     if ((i & kStruck) != 0) continue;
-    if (run_dense_ && run_rate_[i] != 0.0) continue;  // lint: float-eq-ok
+    if (run_dense_ && run_rate(i) != 0.0) continue;  // lint: float-eq-ok
     advance(i, 0.0);
   }
   due_.clear();  // a swept job has no rate-0 event left
   if (srpt_eager) {
-    for (std::size_t j = 0; j < run_rate_.size(); ++j) {
-      if (run_rate_[j] != 0.0) {  // lint: float-eq-ok
+    for (std::size_t j = 0; j < run_n_; ++j) {
+      if (run_rate(j) != 0.0) {  // lint: float-eq-ok
         const std::size_t i = run_index(j);
         orders_.update_remaining(i, rem[i]);
       }
@@ -654,7 +729,7 @@ PARSCHED_HOT Engine::Step Engine::decision_step(double t_arrive,
   // keep the jobs that completed.
   std::size_t n_done = 0;
   for (const std::size_t i : comp_idx_) {
-    AliveJob& a = jobs[i];
+    AliveJob& a = alive_[i];
     const double tol = ctol * std::max(1.0, sizes[i]);
     while (phase_rem[i] <= tol && a.phase + 1 < a.phases.size()) {
       ++a.phase;
@@ -724,6 +799,9 @@ PARSCHED_HOT Engine::Step Engine::decision_step(double t_arrive,
     alive_.resize(end);
     soa_.resize(end);
   }
+  if (stats_ != nullptr) {
+    stats_->sweep_seconds += obs::monotonic_seconds() - t_sweep0;
+  }
   const std::size_t n_completed = result_.records.size() - first_new_record;
   if (n_completed > 0 && !observers_.empty()) {
     completion_order_.resize(n_completed);
@@ -758,9 +836,9 @@ PARSCHED_HOT Engine::Step Engine::decision_step(double t_arrive,
     // Name the lowest-positioned running job whose phase has drained (no
     // job completed this step, so the running set still indexes alive_).
     std::size_t stuck_at = alive_.size();
-    for (std::size_t j = 0; j < run_rate_.size(); ++j) {
+    for (std::size_t j = 0; j < run_n_; ++j) {
       const std::size_t i = run_index(j);
-      if (run_rate_[j] > 0.0 && soa_.phase_remaining[i] <= 0.0) {
+      if (run_rate(j) > 0.0 && soa_.phase_remaining[i] <= 0.0) {
         stuck_at = std::min(stuck_at, i);
       }
     }
@@ -770,7 +848,7 @@ PARSCHED_HOT Engine::Step Engine::decision_step(double t_arrive,
       stuck = static_cast<std::uint64_t>(a.id);
       os << "; stuck job id=" << a.id << " (phase " << (a.phase + 1) << "/"
          << (a.phases.empty() ? std::size_t{1} : a.phases.size())
-         << " drained, remaining=" << a.remaining
+         << " drained, remaining=" << soa_.remaining[stuck_at]
          << " still above completion tolerance)";
     }
     record_failure(false, stuck, "simulation_stall");
@@ -782,7 +860,7 @@ PARSCHED_HOT Engine::Step Engine::decision_step(double t_arrive,
   // count (O(n), audit runs only). A divergence here trips a contract
   // failure at the step that caused it instead of surfacing decisions
   // later as a wrong ordering.
-  if (audit_allocs_) orders_.audit(alive_);
+  if (audit_allocs_) orders_.audit(alive_, soa_.remaining);
   if (audit_allocs_) audit_soa();
   if (cfg_.recorder != nullptr) {
     cfg_.recorder->record(obs::FlightEvent::kDecision, result_.decisions,
@@ -871,6 +949,11 @@ void Engine::admit(Job job) {
 
 void Engine::advance_to(double t) {
   PARSCHED_CHECK(streaming_, "Engine::advance_to() outside a streaming run");
+  // The frontier stays finite, as import_state() requires of a snapshot
+  // (finish() alone runs to the end; a NaN target used to be a no-op).
+  if (!std::isfinite(t)) {
+    throw std::invalid_argument("advance target must be finite");
+  }
   frontier_ = std::max(frontier_, t);
   drain_to(frontier_);
 }
@@ -924,9 +1007,10 @@ EngineState Engine::export_state() const {
   s.frontier = frontier_;
   s.arrival_seq = arrival_seq_;
   s.alive = alive_;
-  // The columns hold the authoritative phase_remaining (the sweep does not
-  // write it back into the records).
+  // The columns hold the authoritative remaining and phase_remaining (the
+  // sweep does not write them back into the records).
   for (std::size_t i = 0; i < s.alive.size(); ++i) {
+    s.alive[i].remaining = soa_.remaining[i];
     s.alive[i].phase_remaining = soa_.phase_remaining[i];
   }
   s.completed.assign(completed_.begin(), completed_.end());
@@ -966,6 +1050,7 @@ void Engine::import_state(const EngineState& s, Scheduler& sched) {
   if (s.has_cached_alloc && s.cached_alloc.size() != s.alive.size()) {
     throw std::invalid_argument("snapshot cached allocation size mismatch");
   }
+  validate_state(s);
   sched_ = &sched;  // no reset(): the caller restored the policy's state
   streaming_ = true;
   now_ = s.now;
@@ -990,7 +1075,7 @@ void Engine::import_state(const EngineState& s, Scheduler& sched) {
   due_.clear();
   reserve_scratch();
   for (std::size_t i = 0; i < alive_.size(); ++i) {
-    if (has_rate0_event(alive_[i], soa_.phase_remaining[i],
+    if (has_rate0_event(alive_[i], soa_.remaining[i], soa_.phase_remaining[i],
                         cfg_.completion_tol)) {
       due_.push_back(i);
     }

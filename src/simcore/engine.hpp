@@ -48,13 +48,15 @@ struct EngineConfig {
   /// Check share feasibility at every decision point.
   bool validate_allocations = true;
   /// Collect per-run profiling (SimResult::stats): wall time split into
-  /// policy-decide / event-solver / observer buckets plus decision-
-  /// interval and alive-count histograms. Off by default — the
-  /// uninstrumented hot path takes no clock readings at all.
+  /// policy-decide / event-solver / observer buckets, the solver's rates
+  /// and advance-sweep sub-buckets, plus decision-interval and
+  /// alive-count histograms. Off by default — the uninstrumented hot
+  /// path takes no clock readings at all.
   bool collect_stats = false;
   /// Optional registry the engine mirrors run totals into (counters
   /// engine.runs/decisions/arrivals/completions always; timers
-  /// engine.decide/solver/observer when collect_stats is also set).
+  /// engine.decide/solver/observer/rates/sweep when collect_stats is
+  /// also set).
   /// Borrowed; must outlive run().
   obs::MetricsRegistry* metrics = nullptr;
   /// Evaluate the per-decision rates Γ_j(x_j) with the batched
@@ -127,28 +129,34 @@ __extension__ typedef __int128 QSum;
 /// engine beside `alive_` and index-aligned with it. It is kept in sync at
 /// every mutation point (admit, the advance sweep, a phase change, the
 /// completion swap-remove, snapshot import). The decision hot path reads
-/// these dense arrays instead of striding through the ~150-byte AliveJob
-/// records: the rates pass runs speedup/kernel.hpp's batch kernels over
-/// (kind, alpha), the dt-to-completion scan reads `phase_remaining`, and
-/// the advance sweep reads `size`/`remaining`/`qfix` and writes back only
-/// `AliveJob::remaining` (which policies read).
+/// and writes these dense arrays instead of striding through the
+/// 136-byte AliveJob records: the rates pass runs speedup/kernel.hpp's
+/// batch kernels over (kind, alpha), the dt-to-completion scan reads
+/// `phase_remaining`, and the advance sweep reads and writes
+/// `remaining`/`phase_remaining`/`qfix`, touching a record only when its
+/// job changes phase or completes.
 ///
-/// `phase_remaining` is authoritative here: the engine does not keep the
-/// records' copy current while a job runs; export_state() writes it back
-/// into the exported records and import_state() reads it from them.
+/// `remaining` and `phase_remaining` are authoritative here: they are the
+/// one live copy, and the records' fields are current only where records
+/// leave the engine. Policies read remaining work through
+/// SchedulerContext::remaining(), which spans this column; the engine
+/// copies the column into the records right before Observer::on_decision
+/// (only when an observer is attached); export_state() writes both
+/// columns into the exported records and import_state() reads them back.
 /// `qfix` is to_qfix(r/size) for the job's current remaining work r, its
 /// fractional-flow coefficient while idle; the engine keeps Σ qfix over
 /// the alive set in one QSum.
 ///
-/// Derived state, not simulation state: every entry is recomputable from
-/// the exported records, so none of it appears in EngineState and
-/// import_state() rebuilds it. The columns are pre-reserved at admission
+/// The columns are engine state that is serialized through the records:
+/// every entry is recomputable from the exported records, so the columns
+/// do not appear in EngineState themselves and import_state() rebuilds
+/// them. The columns are pre-reserved at admission
 /// (geometric growth, outside the AllocGuard fences), so warm decision
 /// steps stay allocation-free. PARSCHED_AUDIT=1 re-checks the columns
 /// against `alive_` and Σ qfix after every advanced step
 /// (Engine::audit_soa).
 struct AliveSoA {
-  std::vector<double> remaining;        ///< == alive_[i].remaining
+  std::vector<double> remaining;        ///< work left, across all phases
   std::vector<double> size;             ///< == alive_[i].size
   std::vector<double> phase_remaining;  ///< work left in the current phase
   std::vector<double> alpha;            ///< == alive_[i].curve.alpha()
@@ -158,7 +166,8 @@ struct AliveSoA {
   void clear();
   /// Geometric pre-reservation for up to n jobs (amortized O(1)/admit).
   void reserve(std::size_t n);
-  /// Mirror of alive_.push_back(a), reading the record's phase_remaining.
+  /// Mirror of alive_.push_back(a), reading the record's remaining and
+  /// phase_remaining (current in a fresh admission or an imported state).
   void push_back(const AliveJob& a);
   /// Mirror of the job at `i` advancing to the given phase curve.
   void set_curve(std::size_t i, const SpeedupCurve& curve);
@@ -208,6 +217,8 @@ class Engine final : public EngineView {
 
   /// Simulate every event up to and including time t (given the admit()
   /// contract above). Monotone: t below the current frontier is a no-op.
+  /// Throws std::invalid_argument for a non-finite t (use finish() to run
+  /// to the end).
   void advance_to(double t);
 
   /// Declare the arrival stream closed, run to completion, and return the
@@ -230,7 +241,11 @@ class Engine final : public EngineView {
   /// engine constructed with the snapshot's machine count and config; the
   /// scheduler must already carry its restored state (Scheduler::
   /// load_state). Continuation after import is bit-identical to the
-  /// donor run.
+  /// donor run. import_state() throws std::invalid_argument, leaving the
+  /// engine untouched, on a config mismatch, a non-finite now/frontier
+  /// or frontier < now, a pending job that fails validate_job(), lies
+  /// before the frontier or is out of release order, and an alive job
+  /// whose remaining work is not finite or outside [0, size].
   [[nodiscard]] EngineState export_state() const;
   void import_state(const EngineState& state, Scheduler& sched);
 
@@ -272,8 +287,9 @@ class Engine final : public EngineView {
   /// Admission bookkeeping shared by admit_job_now() and import: reserve
   /// the per-step scratch for the current alive count.
   void reserve_scratch();
-  /// PARSCHED_AUDIT: cross-check the SoA columns against alive_
-  /// field-for-field (bit equality) and q_all_ against Σ qfix. O(n),
+  /// PARSCHED_AUDIT: cross-check the SoA columns the records also keep
+  /// current (size, alpha, kind) against alive_ (bit equality), each qfix
+  /// against its job's remaining work, and q_all_ against Σ qfix. O(n),
   /// audit runs only.
   void audit_soa() const;
   /// PARSCHED_AUDIT: the decision's support is exactly its nonzero shares.
@@ -303,14 +319,15 @@ class Engine final : public EngineView {
   SimResult result_;
   obs::RunStats* stats_ = nullptr;
   double run_start_ = 0.0;
+  /// Hot per-job columns (see AliveSoA above): the live remaining and
+  /// phase_remaining, exported through the records.
+  AliveSoA soa_;
 
   // Decision-step scratch, reused (cleared, never freed) across steps so
   // the steady-state hot path performs no heap allocation. None of this
   // is simulation state: everything here is either overwritten before use
-  // each step or a self-validating memo of values derivable from alive_,
-  // and all of it is deliberately absent from EngineState.
-  /// Hot per-job columns (see AliveSoA above).
-  AliveSoA soa_;
+  // each step or a self-validating memo of values derivable from alive_
+  // and soa_, and all of it is deliberately absent from EngineState.
   /// Σ soa_.qfix over the alive set, exact. A step adds
   /// (q_all_ − Σ_visited qfix_old + Σ_visited c) · 2⁻⁶² · dt to
   /// fractional_flow, where c is a visited job's fixed-point trapezoid
@@ -322,17 +339,25 @@ class Engine final : public EngineView {
   /// kept across decision steps, plus the per-decision answer memo.
   /// Unlike the rest of this scratch block it carries state *across*
   /// steps — but still derived state: every key is recomputable from
-  /// alive_, and import_state()/begin_run() rebuild it, so it stays out
-  /// of EngineState.
+  /// alive_ and soa_.remaining, and import_state()/begin_run() rebuild
+  /// it, so it stays out of EngineState.
   IncrementalOrders orders_;
   /// The decision's rates, set by compute_rates() and frozen with a
   /// deferred decision: for a dense (fill()) decision one per alive job,
   /// for a sparse one aligned with cached_alloc_.support(). Entry j is
-  /// the rate of alive job run_index(j).
+  /// the rate of alive job run_index(j), j < run_n_. A uniform decision
+  /// (Allocation::uniform() with share <= 1) stores no per-job rate:
+  /// every job runs at uniform_rate_.
   bool run_dense_ = false;
+  bool run_uniform_ = false;
+  double uniform_rate_ = 0.0;
+  std::size_t run_n_ = 0;
   std::vector<double> run_rate_;
   [[nodiscard]] std::size_t run_index(std::size_t j) const {
     return run_dense_ ? j : cached_alloc_.support()[j];
+  }
+  [[nodiscard]] double run_rate(std::size_t j) const {
+    return run_uniform_ ? uniform_rate_ : run_rate_[j];
   }
   /// Jobs with a nonzero rate in the current decision: the advance sweep
   /// uses it to pick between per-job O(log n) heap updates and one

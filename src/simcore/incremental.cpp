@@ -244,16 +244,16 @@ void IncrementalOrders::compact_latest() {
 }
 
 PARSCHED_HOT void IncrementalOrders::ensure_srpt_fresh(
-    std::span<const AliveJob> alive) {
+    std::span<const AliveJob> alive, std::span<const double> remaining) {
   if (!srpt_stale_) return;
   const std::size_t n = alive.size();
-  PARSCHED_CHECK(n == size(),
+  PARSCHED_CHECK(n == size() && remaining.size() == n,
                  "IncrementalOrders out of step with the alive set");
   srpt_.resize(n);
   srpt_pos_.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
     const AliveJob& j = alive[i];
-    srpt_[i] = SrptKey{j.remaining, j.release, j.id,
+    srpt_[i] = SrptKey{remaining[i], j.release, j.id,
                        static_cast<std::uint32_t>(i)};
     srpt_pos_[i] = static_cast<std::uint32_t>(i);
   }
@@ -262,18 +262,19 @@ PARSCHED_HOT void IncrementalOrders::ensure_srpt_fresh(
 }
 
 PARSCHED_HOT std::size_t IncrementalOrders::min_srpt(
-    std::span<const AliveJob> alive) {
-  ensure_srpt_fresh(alive);
+    std::span<const AliveJob> alive, std::span<const double> remaining) {
+  ensure_srpt_fresh(alive, remaining);
   PARSCHED_CHECK(!srpt_.empty(), "min_remaining over an empty alive set");
   return srpt_[0].idx;
 }
 
 PARSCHED_HOT std::span<const std::size_t> IncrementalOrders::srpt_prefix(
-    std::span<const AliveJob> alive, std::size_t k) {
+    std::span<const AliveJob> alive, std::span<const double> remaining,
+    std::size_t k) {
   const std::size_t n = alive.size();
   const std::size_t want = std::min(k, n);
   if (want <= srpt_len_) return {srpt_order_.data(), want};
-  ensure_srpt_fresh(alive);
+  ensure_srpt_fresh(alive, remaining);
   srpt_order_.resize(n);
   if (want < n) {
     // The heap-slot traversal rewrites the remembered prefix with the same
@@ -304,9 +305,10 @@ PARSCHED_HOT std::span<const std::size_t> IncrementalOrders::latest_prefix(
   return {latest_order_.data(), want};
 }
 
-void IncrementalOrders::audit(std::span<const AliveJob> alive) const {
+void IncrementalOrders::audit(std::span<const AliveJob> alive,
+                              std::span<const double> remaining) const {
   const std::size_t n = alive.size();
-  PARSCHED_CHECK(latest_pos_.size() == n,
+  PARSCHED_CHECK(latest_pos_.size() == n && remaining.size() == n,
                  "ordering audit: latest position map size mismatch");
   std::size_t live = 0;
   std::size_t dead = 0;
@@ -344,7 +346,7 @@ void IncrementalOrders::audit(std::span<const AliveJob> alive) const {
     const SrptKey& e = srpt_[s];
     PARSCHED_CHECK(e.idx < n, "ordering audit: srpt idx out of range");
     const AliveJob& j = alive[e.idx];
-    PARSCHED_CHECK(e.remaining == j.remaining && e.release == j.release &&
+    PARSCHED_CHECK(e.remaining == remaining[e.idx] && e.release == j.release &&
                        e.id == j.id,
                    "ordering audit: srpt key diverged from alive job");
     PARSCHED_CHECK(srpt_pos_[e.idx] == s,

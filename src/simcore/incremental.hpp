@@ -110,7 +110,8 @@ class IncrementalOrders {
   void rebuild(std::span<const AliveJob> alive);
 
   /// Admit: `job` was just appended to the alive set at index `idx`
-  /// (== previous size).
+  /// (== previous size), with `job.remaining` its current remaining work
+  /// (the admission record, whose remaining the engine's column copies).
   void insert(const AliveJob& job, std::size_t idx);
 
   /// The job at alive index `idx` now has `remaining` unprocessed work.
@@ -126,8 +127,8 @@ class IncrementalOrders {
 
   /// Lazy-decay epoch: most remaining-work keys just changed at once, so
   /// per-key sifts would cost more than a rebuild. Marks the SRPT heap
-  /// stale; the next SRPT query regathers keys from the alive set and
-  /// re-heapifies in O(n).
+  /// stale; the next SRPT query regathers keys from the remaining-work
+  /// column and the alive set and re-heapifies in O(n).
   void decay_epoch() {
     srpt_stale_ = true;
     srpt_len_ = 0;
@@ -139,23 +140,30 @@ class IncrementalOrders {
   /// Telemetry: decay epochs declared since clear().
   [[nodiscard]] std::uint64_t decay_epochs() const { return decay_epochs_; }
 
+  // The SRPT queries take the alive set (release, id) together with its
+  // index-aligned remaining-work column: the keys a stale heap regathers.
+
   /// Alive indexes of the first min(k, n) jobs in SRPT order. The span
   /// stays valid, and its contents unchanged, until the next mutation.
   [[nodiscard]] std::span<const std::size_t> srpt_prefix(
-      std::span<const AliveJob> alive, std::size_t k);
+      std::span<const AliveJob> alive, std::span<const double> remaining,
+      std::size_t k);
 
   /// Alive index of the SRPT-least job (heap root). Requires size() > 0.
-  [[nodiscard]] std::size_t min_srpt(std::span<const AliveJob> alive);
+  [[nodiscard]] std::size_t min_srpt(std::span<const AliveJob> alive,
+                                     std::span<const double> remaining);
 
   /// Same as srpt_prefix() for the latest-arrival order. Never triggers
   /// a rebuild: the keys are immutable after admission.
   [[nodiscard]] std::span<const std::size_t> latest_prefix(std::size_t k);
 
-  /// Audit (PARSCHED_AUDIT): every entry matches the alive set, the
-  /// position maps are bijections onto the alive indexes, the heap
-  /// property holds, the latest array is sorted and its tombstone count
-  /// is exact. Trips a PARSCHED_CHECK on any violation. O(n).
-  void audit(std::span<const AliveJob> alive) const;
+  /// Audit (PARSCHED_AUDIT): every entry matches the alive set and its
+  /// remaining-work column, the position maps are bijections onto the
+  /// alive indexes, the heap property holds, the latest array is sorted
+  /// and its tombstone count is exact. Trips a PARSCHED_CHECK on any
+  /// violation. O(n).
+  void audit(std::span<const AliveJob> alive,
+             std::span<const double> remaining) const;
 
  private:
   /// Alive-index sentinel of a tombstoned latest-array entry.
@@ -167,7 +175,8 @@ class IncrementalOrders {
     latest_len_ = 0;
     latest_cursor_ = latest_.size();
   }
-  void ensure_srpt_fresh(std::span<const AliveJob> alive);
+  void ensure_srpt_fresh(std::span<const AliveJob> alive,
+                         std::span<const double> remaining);
   void compact_latest();
 
   // SRPT min-heap in SrptKeyLess order, alive idx -> slot in srpt_pos_.

@@ -19,16 +19,17 @@ IncrementalOrders& in_step(IncrementalOrders* orders,
 
 PARSCHED_HOT std::span<const std::size_t> SchedulerContext::by_remaining()
     const {
-  return in_step(orders_, alive_).srpt_prefix(alive_, alive_.size());
+  return in_step(orders_, alive_)
+      .srpt_prefix(alive_, remaining_, alive_.size());
 }
 
 PARSCHED_HOT std::span<const std::size_t> SchedulerContext::smallest_remaining(
     std::size_t k) const {
-  return in_step(orders_, alive_).srpt_prefix(alive_, k);
+  return in_step(orders_, alive_).srpt_prefix(alive_, remaining_, k);
 }
 
 PARSCHED_HOT std::size_t SchedulerContext::min_remaining() const {
-  return in_step(orders_, alive_).min_srpt(alive_);
+  return in_step(orders_, alive_).min_srpt(alive_, remaining_);
 }
 
 PARSCHED_HOT std::span<const std::size_t> SchedulerContext::by_latest_arrival()

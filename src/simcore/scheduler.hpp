@@ -28,7 +28,11 @@ struct AliveJob {
   JobId id = kInvalidJob;
   double release = 0.0;
   double size = 0.0;       ///< original work p_j
-  double remaining = 0.0;  ///< unprocessed work p_j(t), across all phases
+  /// Unprocessed work p_j(t), across all phases. The engine keeps the
+  /// live value in its SoA column (policies read it through
+  /// SchedulerContext::remaining()); in its records this field is current
+  /// only inside Observer::on_decision and in an exported EngineState.
+  double remaining = 0.0;
   double weight = 1.0;     ///< weight w_j of the weighted-flow objective
   /// Speedup curve of the *current* phase (the whole curve for
   /// single-phase jobs). This is what the job responds to right now.
@@ -50,20 +54,42 @@ class IncrementalOrders;
 
 /// What a policy sees at a decision point.
 ///
+/// Remaining work comes from `remaining`, a column index-aligned with
+/// `alive`: the engine passes its SoA column, the one live copy, and a
+/// policy must read remaining work through remaining(i), never from the
+/// records' AliveJob::remaining (stale while the engine runs).
+///
 /// The ordering helpers answer from the engine's IncrementalOrders
 /// (simcore/incremental.hpp), which keeps both orders across decisions
 /// and remembers each decision's answers. A returned span stays valid for
-/// the whole decision. A context built by hand (tests, probes) needs an
-/// IncrementalOrders filled with rebuild(alive).
+/// the whole decision. A context built by hand (tests, probes) passes its
+/// own remaining column and an IncrementalOrders filled with
+/// rebuild(alive).
 class SchedulerContext {
  public:
   SchedulerContext(double time, int machines, std::span<const AliveJob> alive,
+                   std::span<const double> remaining,
                    IncrementalOrders& orders)
-      : time_(time), machines_(machines), alive_(alive), orders_(&orders) {}
+      : time_(time),
+        machines_(machines),
+        alive_(alive),
+        remaining_(remaining),
+        orders_(&orders) {
+    PARSCHED_CHECK(remaining.size() == alive.size(),
+                   "SchedulerContext remaining column out of step with its "
+                   "alive set");
+  }
 
   [[nodiscard]] double time() const { return time_; }
   [[nodiscard]] int machines() const { return machines_; }
   [[nodiscard]] std::span<const AliveJob> alive() const { return alive_; }
+
+  /// Unprocessed work of alive()[i], across all phases.
+  [[nodiscard]] double remaining(std::size_t i) const { return remaining_[i]; }
+  /// The whole remaining-work column, index-aligned with alive().
+  [[nodiscard]] std::span<const double> remaining() const {
+    return remaining_;
+  }
 
   /// Indices into alive() sorted by (remaining, release, id): SRPT order.
   [[nodiscard]] std::span<const std::size_t> by_remaining() const;
@@ -89,6 +115,7 @@ class SchedulerContext {
   double time_;
   int machines_;
   std::span<const AliveJob> alive_;
+  std::span<const double> remaining_;
   IncrementalOrders* orders_;
 };
 
@@ -104,6 +131,12 @@ class SchedulerContext {
 /// advance sweep over the support alone, so a decision that runs m of n
 /// jobs costs O(m), not O(n). shares() is the dense read-only view for
 /// observers, snapshots and tests.
+///
+/// A fill() that no give() follows is *uniform*: every job holds the one
+/// share s. With s <= 1 the engine then needs no per-job rate at all —
+/// every curve is Γ(x) = x on [0, 1] — so EQUI-style decisions skip the
+/// rate kernels (Engine::compute_rates). Dense does not imply uniform:
+/// fill(0) followed by give() is dense with unequal shares.
 class Allocation {
  public:
   double reconsider_at = kInf;
@@ -114,6 +147,7 @@ class Allocation {
   /// buffer, so a steady-state decision costs O(|support|) and allocates
   /// nothing.
   void reset(std::size_t n) {
+    uniform_ = false;
     if (dense_) {
       shares_.assign(n, 0.0);
       dense_ = false;
@@ -136,6 +170,7 @@ class Allocation {
   /// Validation of s (sign, total) is the engine's job.
   void give(std::size_t i, double s) {
     PARSCHED_DCHECK(i < shares_.size(), "give() index out of range");
+    uniform_ = false;
     double& slot = shares_[i];
     if (!dense_) {
       // Sparse mode keeps support == {i : share_i != 0}: a zero slot is
@@ -157,6 +192,7 @@ class Allocation {
   void fill(double s) {
     std::fill(shares_.begin(), shares_.end(), s);
     dense_ = true;
+    uniform_ = true;
     support_.clear();
   }
 
@@ -166,6 +202,7 @@ class Allocation {
   void assign(std::vector<double> shares) {
     shares_ = std::move(shares);
     dense_ = false;
+    uniform_ = false;
     support_.clear();
     for (std::size_t i = 0; i < shares_.size(); ++i) {
       if (shares_[i] != 0.0) support_.push_back(i);  // lint: float-eq-ok
@@ -177,6 +214,9 @@ class Allocation {
   [[nodiscard]] std::size_t size() const { return shares_.size(); }
   /// True when fill() made every job part of the support.
   [[nodiscard]] bool dense() const { return dense_; }
+  /// True when the last write was fill(s): every share is exactly s.
+  /// Implies dense(); a give() after the fill() clears it.
+  [[nodiscard]] bool uniform() const { return uniform_; }
   /// The jobs given a nonzero share, in give() order, without duplicates.
   /// Meaningful only when !dense(); exactly {i : shares()[i] != 0}.
   [[nodiscard]] std::span<const std::size_t> support() const {
@@ -187,6 +227,7 @@ class Allocation {
   std::vector<double> shares_;
   std::vector<std::size_t> support_;
   bool dense_ = false;
+  bool uniform_ = false;
 };
 
 /// Online scheduling policy. Implementations must be deterministic

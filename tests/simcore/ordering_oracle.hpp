@@ -2,7 +2,11 @@
 //
 // refimpl:: holds the straightforward definitions of the SchedulerContext
 // ordering helpers: per-call iota + sort / nth_element over the AliveJob
-// records themselves, with no flat keys and no state kept between calls.
+// records (release, id) and the remaining-work column, with no flat keys
+// and no state kept between calls. Like the policies, the oracle reads
+// remaining work from the column index-aligned with the records — in the
+// engine its SoA column, the one live copy — never from
+// AliveJob::remaining.
 // The engine's IncrementalOrders (simcore/incremental.hpp) must give
 // exactly these answers: both comparators are strict total orders (ties
 // break by job id), so every k-prefix is unique.
@@ -27,17 +31,28 @@
 
 namespace parsched::refimpl {
 
-/// (remaining, release, id) lexicographic SRPT order.
+/// (remaining, release, id) lexicographic SRPT order, remaining work read
+/// from the column `remaining` (index-aligned with `alive`).
 struct SrptLess {
   std::span<const AliveJob> alive;
+  std::span<const double> remaining;
   bool operator()(std::size_t a, std::size_t b) const {
+    if (remaining[a] != remaining[b]) return remaining[a] < remaining[b];
     const AliveJob& ja = alive[a];
     const AliveJob& jb = alive[b];
-    if (ja.remaining != jb.remaining) return ja.remaining < jb.remaining;
     if (ja.release != jb.release) return ja.release < jb.release;
     return ja.id < jb.id;
   }
 };
+
+/// The records' own remaining work as a column: the column a hand-built
+/// alive set (whose records are its only data) hands a context.
+inline std::vector<double> remaining_column(std::span<const AliveJob> alive) {
+  std::vector<double> out;
+  out.reserve(alive.size());
+  for (const AliveJob& a : alive) out.push_back(a.remaining);
+  return out;
+}
 
 /// (release, id) descending: latest arrival first.
 struct LatestLess {
@@ -73,18 +88,21 @@ std::vector<std::size_t> first_k(std::span<const AliveJob> alive,
   return idx;
 }
 
-inline std::vector<std::size_t> by_remaining(std::span<const AliveJob> alive) {
-  return first_k(alive, alive.size(), SrptLess{alive});
+inline std::vector<std::size_t> by_remaining(
+    std::span<const AliveJob> alive, std::span<const double> remaining) {
+  return first_k(alive, alive.size(), SrptLess{alive, remaining});
 }
 
 inline std::vector<std::size_t> smallest_remaining(
-    std::span<const AliveJob> alive, std::size_t k) {
-  return first_k(alive, k, SrptLess{alive});
+    std::span<const AliveJob> alive, std::span<const double> remaining,
+    std::size_t k) {
+  return first_k(alive, k, SrptLess{alive, remaining});
 }
 
-inline std::size_t min_remaining(std::span<const AliveJob> alive) {
+inline std::size_t min_remaining(std::span<const AliveJob> alive,
+                                 std::span<const double> remaining) {
   std::size_t best = 0;
-  const SrptLess less{alive};
+  const SrptLess less{alive, remaining};
   for (std::size_t i = 1; i < alive.size(); ++i) {
     if (less(i, best)) best = i;
   }
@@ -210,7 +228,7 @@ class OracleCheckedScheduler : public Scheduler {
     const std::span<const AliveJob> alive = ctx.alive();
     const std::size_t n = alive.size();
     if (n == 0) return true;
-    fill_first_k(alive, n, SrptLess{alive}, srpt_);
+    fill_first_k(alive, n, SrptLess{alive, ctx.remaining()}, srpt_);
     fill_first_k(alive, n, LatestLess{alive}, latest_);
     const auto m = static_cast<std::size_t>(ctx.machines());
     for (const std::size_t k : {std::size_t{1}, m, n / 2, n, m, n + 3}) {

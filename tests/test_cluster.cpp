@@ -17,6 +17,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <ctime>
 #include <fstream>
 #include <future>
@@ -798,6 +799,37 @@ TEST(ClusterSocket, PbinClientRoundTrip) {
               serve::BinStatus::kOk);
   }
   server_thread.join();
+}
+
+// A dump answers the record inline, or — written to a file — a bare ok;
+// the client must parse both replies.
+TEST(ClusterSocket, PbinClientParsesInlineAndFileDumps) {
+  const std::string path = testing::TempDir() + "cluster_dump.sock";
+  const std::string dump_path = testing::TempDir() + "cluster_dump.jsonl";
+  std::remove(dump_path.c_str());
+  obs::FlightRecorder recorder(64);
+  serve::ProtocolHandler handler(
+      serve::Cluster::Config{1, 1, 8, 32, nullptr, &recorder});
+  std::thread server_thread(  // lint: thread-ok
+      [&handler, &path] { serve::serve_unix_socket(handler, path); });
+  {
+    serve::BinClient client(path);
+    serve::BinResponse r = client.call(serve::bin_dump(1));
+    ASSERT_EQ(r.status, serve::BinStatus::kOk);
+    EXPECT_NE(r.text.find("parsched-flight-record"), std::string::npos);
+
+    r = client.call(serve::bin_dump(2, dump_path));
+    ASSERT_EQ(r.status, serve::BinStatus::kOk);
+    EXPECT_EQ(r.rid, 2u);
+    EXPECT_TRUE(r.text.empty());
+    EXPECT_NE(slurp(dump_path).find("parsched-flight-record"),
+              std::string::npos);
+
+    EXPECT_EQ(client.call(serve::bin_shutdown(3)).status,
+              serve::BinStatus::kOk);
+  }
+  server_thread.join();
+  std::remove(dump_path.c_str());
 }
 
 TEST(ClusterSocket, VersionNegotiationRejectsUnspeakableClient) {

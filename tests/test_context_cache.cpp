@@ -239,6 +239,7 @@ TEST(ContextCacheHelpers, AllHelpersMatchRefimplAcrossKs) {
   for (const std::size_t n : {std::size_t{1}, std::size_t{7}, std::size_t{40},
                               std::size_t{200}}) {
     const std::vector<AliveJob> alive = random_alive(rng, n);
+    const std::vector<double> rem = refimpl::remaining_column(alive);
     const std::vector<std::size_t> ks = {0,     1,     2,         3,
                                          n / 8, n / 2, n ? n - 1 : 0, n,
                                          n + 10};
@@ -246,20 +247,20 @@ TEST(ContextCacheHelpers, AllHelpersMatchRefimplAcrossKs) {
       // Fresh orders per query so each k starts from an empty memo (and
       // the SRPT side from a stale heap).
       IncrementalOrders orders = orders_for(alive);
-      SchedulerContext ctx(0.0, 4, alive, orders);
+      SchedulerContext ctx(0.0, 4, alive, rem, orders);
       const std::string what =
           "n=" + std::to_string(n) + " k=" + std::to_string(k);
       expect_span_eq(ctx.smallest_remaining(k),
-                     refimpl::smallest_remaining(alive, k),
+                     refimpl::smallest_remaining(alive, rem, k),
                      "smallest_remaining " + what);
       expect_span_eq(ctx.latest_arrivals(k),
                      refimpl::latest_arrivals(alive, k),
                      "latest_arrivals " + what);
     }
     IncrementalOrders orders = orders_for(alive);
-    SchedulerContext ctx(0.0, 4, alive, orders);
-    EXPECT_EQ(ctx.min_remaining(), refimpl::min_remaining(alive));
-    expect_span_eq(ctx.by_remaining(), refimpl::by_remaining(alive),
+    SchedulerContext ctx(0.0, 4, alive, rem, orders);
+    EXPECT_EQ(ctx.min_remaining(), refimpl::min_remaining(alive, rem));
+    expect_span_eq(ctx.by_remaining(), refimpl::by_remaining(alive, rem),
                    "by_remaining n=" + std::to_string(n));
     expect_span_eq(ctx.by_latest_arrival(),
                    refimpl::by_latest_arrival(alive),
@@ -274,10 +275,11 @@ TEST(ContextCacheHelpers, PrefixUpgradesPreserveEarlierAnswers) {
   std::mt19937_64 rng(99);
   const std::size_t n = 160;
   const std::vector<AliveJob> alive = random_alive(rng, n);
-  const std::vector<std::size_t> ref = refimpl::by_remaining(alive);
+  const std::vector<double> rem = refimpl::remaining_column(alive);
+  const std::vector<std::size_t> ref = refimpl::by_remaining(alive, rem);
 
   IncrementalOrders orders = orders_for(alive);
-  SchedulerContext ctx(0.0, 4, alive, orders);
+  SchedulerContext ctx(0.0, 4, alive, rem, orders);
   // min first (heap root), then heap top-k at growing widths, then full.
   EXPECT_EQ(ctx.min_remaining(), ref[0]);
   const auto first = ctx.smallest_remaining(2);
@@ -337,16 +339,17 @@ std::vector<AliveJob> tie_heavy_alive() {
 
 TEST(ContextCacheTieBreaks, SmallestRemainingPinsSrptOrder) {
   const std::vector<AliveJob> alive = tie_heavy_alive();
+  const std::vector<double> rem = refimpl::remaining_column(alive);
   const std::vector<std::size_t> want = {17, 9, 5};  // (rem, release, id) asc
   for (const std::size_t k : {std::size_t{3}, std::size_t{5}}) {
     IncrementalOrders orders = orders_for(alive);
-    SchedulerContext ctx(0.0, 4, alive, orders);
+    SchedulerContext ctx(0.0, 4, alive, rem, orders);
     const auto got = ctx.smallest_remaining(k);
     ASSERT_EQ(got.size(), k);
     for (std::size_t i = 0; i < want.size(); ++i) {
       EXPECT_EQ(got[i], want[i]) << "k=" << k << " position " << i;
     }
-    expect_span_eq(got, refimpl::smallest_remaining(alive, k),
+    expect_span_eq(got, refimpl::smallest_remaining(alive, rem, k),
                    "refimpl agreement k=" + std::to_string(k));
   }
 }
@@ -367,11 +370,12 @@ TEST(ContextCacheTieBreaks, LatestArrivalsPinsReleaseIdDescOrder) {
   alive[11].id = 131;
   alive[4].release = 9.0;
   alive[4].id = 104;
+  const std::vector<double> rem = refimpl::remaining_column(alive);
   const std::vector<std::size_t> want = {11, 3, 4};
   for (const std::size_t k : {std::size_t{2}, std::size_t{3},
                               std::size_t{6}}) {
     IncrementalOrders orders = orders_for(alive);
-    SchedulerContext ctx(0.0, 4, alive, orders);
+    SchedulerContext ctx(0.0, 4, alive, rem, orders);
     const auto got = ctx.latest_arrivals(k);
     ASSERT_EQ(got.size(), k);
     for (std::size_t i = 0; i < std::min(k, want.size()); ++i) {

@@ -660,15 +660,18 @@ std::vector<AliveJob> make_alive(std::mt19937_64& rng, std::size_t n) {
   return alive;
 }
 
+// `rem` is the live remaining-work column, index-aligned with `alive`; the
+// records' own remaining fields may be stale, as they are in the engine.
 void expect_orders_match(IncrementalOrders& inc,
                          const std::vector<AliveJob>& alive,
+                         const std::vector<double>& rem,
                          const std::string& what) {
-  const std::vector<std::size_t> srpt_ref = refimpl::by_remaining(alive);
+  const std::vector<std::size_t> srpt_ref = refimpl::by_remaining(alive, rem);
   const std::vector<std::size_t> latest_ref = refimpl::by_latest_arrival(alive);
   for (const std::size_t k :
        {std::size_t{1}, alive.size() / 8, alive.size() / 2, alive.size()}) {
     if (k == 0) continue;
-    const auto srpt = inc.srpt_prefix(alive, k);
+    const auto srpt = inc.srpt_prefix(alive, rem, k);
     ASSERT_EQ(srpt.size(), k) << what;
     for (std::size_t i = 0; i < k; ++i) {
       ASSERT_EQ(srpt[i], srpt_ref[i]) << what << " srpt k=" << k << " @" << i;
@@ -681,18 +684,23 @@ void expect_orders_match(IncrementalOrders& inc,
     }
   }
   if (!alive.empty()) {
-    EXPECT_EQ(inc.min_srpt(alive), refimpl::min_remaining(alive)) << what;
+    EXPECT_EQ(inc.min_srpt(alive, rem), refimpl::min_remaining(alive, rem))
+        << what;
   }
-  inc.audit(alive);
+  inc.audit(alive, rem);
 }
 
 TEST(IncrementalOrdersUnit, RandomChurnMatchesRefimpl) {
   std::mt19937_64 rng(20260808);
   std::vector<AliveJob> alive = make_alive(rng, 80);
+  // The live remaining work, kept apart from the records the way the
+  // engine keeps it: updates touch only this column, so an ordering path
+  // that read AliveJob::remaining would see stale keys and diverge.
+  std::vector<double> rem = refimpl::remaining_column(alive);
   IncrementalOrders inc;
   inc.reserve(alive.size());
   for (std::size_t i = 0; i < alive.size(); ++i) inc.insert(alive[i], i);
-  expect_orders_match(inc, alive, "initial");
+  expect_orders_match(inc, alive, rem, "initial");
 
   std::uniform_real_distribution<double> u(0.0, 1.0);
   for (int round = 0; round < 400; ++round) {
@@ -701,8 +709,8 @@ TEST(IncrementalOrdersUnit, RandomChurnMatchesRefimpl) {
       // Advance: shrink a few remaining-work keys.
       for (int k = 0; k < 3 && !alive.empty(); ++k) {
         const std::size_t i = rng() % alive.size();
-        alive[i].remaining = std::max(0.125, alive[i].remaining * 0.75);
-        inc.update_remaining(i, alive[i].remaining);
+        rem[i] = std::max(0.125, rem[i] * 0.75);
+        inc.update_remaining(i, rem[i]);
       }
     } else if (op < 0.6 && alive.size() > 2) {
       // Complete: swap-remove, mirrored.
@@ -711,6 +719,8 @@ TEST(IncrementalOrdersUnit, RandomChurnMatchesRefimpl) {
       inc.remove_swap(i, last);
       alive[i] = alive[last];
       alive.pop_back();
+      rem[i] = rem[last];
+      rem.pop_back();
     } else if (op < 0.85) {
       // Admit.
       AliveJob j;
@@ -720,21 +730,19 @@ TEST(IncrementalOrdersUnit, RandomChurnMatchesRefimpl) {
       j.size = j.remaining;
       inc.reserve(alive.size() + 1);
       alive.push_back(j);
+      rem.push_back(j.remaining);
       inc.insert(alive.back(), alive.size() - 1);
     } else {
       // Mass update + decay epoch (the lazy-rebuild path).
-      for (std::size_t i = 0; i < alive.size(); ++i) {
-        alive[i].remaining = std::max(0.125, alive[i].remaining * 0.9);
-      }
+      for (double& r : rem) r = std::max(0.125, r * 0.9);
       inc.decay_epoch();
     }
     if (round % 25 == 0) {
-      expect_orders_match(inc, alive,
-                          "round " + std::to_string(round));
+      expect_orders_match(inc, alive, rem, "round " + std::to_string(round));
       if (HasFatalFailure()) return;
     }
   }
-  expect_orders_match(inc, alive, "final");
+  expect_orders_match(inc, alive, rem, "final");
   EXPECT_GT(inc.decay_epochs(), 0u);
 }
 
@@ -766,7 +774,7 @@ TEST(IncrementalOrdersUnit, LatestTombstonesCompactWithoutReordering) {
     inc.remove_swap(i, last);
     alive[i] = alive[last];
     alive.pop_back();
-    expect_orders_match(inc, alive,
+    expect_orders_match(inc, alive, refimpl::remaining_column(alive),
                         "alive=" + std::to_string(alive.size()));
     if (HasFatalFailure()) return;
   }
@@ -781,7 +789,8 @@ TEST(IncrementalOrdersUnit, LatestTombstonesCompactWithoutReordering) {
     alive.push_back(j);
     inc.insert(alive.back(), alive.size() - 1);
   }
-  expect_orders_match(inc, alive, "refilled");
+  expect_orders_match(inc, alive, refimpl::remaining_column(alive),
+                      "refilled");
 }
 
 // ---- Tie-break pinning: both total orders --------------------------------
@@ -822,12 +831,13 @@ IncrementalOrders build_inc(const std::vector<AliveJob>& alive) {
 
 TEST(IncrementalTieBreaks, SrptOrderPinnedAtFullAndSmallK) {
   const std::vector<AliveJob> alive = tie_heavy_alive();
+  const std::vector<double> rem = refimpl::remaining_column(alive);
   const std::vector<std::size_t> want_prefix = {17, 9, 5};
-  const std::vector<std::size_t> full_ref = refimpl::by_remaining(alive);
+  const std::vector<std::size_t> full_ref = refimpl::by_remaining(alive, rem);
   IncrementalOrders inc = build_inc(alive);
   // k = 3 <= 24/8 (heap traversal) and k = n (heap-copy full sort).
   for (const std::size_t k : {std::size_t{3}, alive.size()}) {
-    const auto got = inc.srpt_prefix(alive, k);
+    const auto got = inc.srpt_prefix(alive, rem, k);
     ASSERT_EQ(got.size(), k);
     for (std::size_t i = 0; i < want_prefix.size(); ++i) {
       EXPECT_EQ(got[i], want_prefix[i]) << "k=" << k << " position " << i;
@@ -875,11 +885,12 @@ TEST(IncrementalTieBreaks, TieOrderSurvivesChurn) {
   // After updates drive fresh ties into existence and removals shuffle
   // slots, both orders must still break ties exactly like refimpl.
   std::vector<AliveJob> alive = tie_heavy_alive();
+  std::vector<double> rem = refimpl::remaining_column(alive);
   IncrementalOrders inc = build_inc(alive);
   // Tie three more jobs at remaining = 1.0 (equal release, id decides).
   for (const std::size_t i : {std::size_t{0}, std::size_t{12},
                               std::size_t{20}}) {
-    alive[i].remaining = 1.0;
+    rem[i] = 1.0;
     inc.update_remaining(i, 1.0);
   }
   // Remove one of the original tied jobs via the swap-remove mirror.
@@ -887,8 +898,10 @@ TEST(IncrementalTieBreaks, TieOrderSurvivesChurn) {
   inc.remove_swap(9, last);
   alive[9] = alive[last];
   alive.pop_back();
-  const std::vector<std::size_t> ref = refimpl::by_remaining(alive);
-  const auto got = inc.srpt_prefix(alive, alive.size());
+  rem[9] = rem[last];
+  rem.pop_back();
+  const std::vector<std::size_t> ref = refimpl::by_remaining(alive, rem);
+  const auto got = inc.srpt_prefix(alive, rem, alive.size());
   ASSERT_EQ(got.size(), alive.size());
   for (std::size_t i = 0; i < alive.size(); ++i) {
     EXPECT_EQ(got[i], ref[i]) << "position " << i;
@@ -899,7 +912,7 @@ TEST(IncrementalTieBreaks, TieOrderSurvivesChurn) {
   for (std::size_t i = 0; i < alive.size(); ++i) {
     EXPECT_EQ(lgot[i], lref[i]) << "latest position " << i;
   }
-  inc.audit(alive);
+  inc.audit(alive, rem);
 }
 
 }  // namespace

@@ -526,6 +526,12 @@ TEST(RunStats, CollectedWhenEnabled) {
   EXPECT_LE(s.decide_seconds + s.solver_seconds + s.observer_seconds,
             s.wall_seconds + 1e-6);
   EXPECT_GT(s.wall_seconds, 0.0);
+  // rates and sweep are sub-buckets of the solver time: each decision's
+  // rates interval and each step's sweep interval are disjoint pieces of
+  // what solver_seconds sums.
+  EXPECT_GT(s.rates_seconds, 0.0);
+  EXPECT_GT(s.sweep_seconds, 0.0);
+  EXPECT_LE(s.rates_seconds + s.sweep_seconds, s.solver_seconds + 1e-9);
 
   // The alive-count bounds cover the dense-alive and backlog range: a
   // 10^5-job sample lands in a finite bucket, not in +Inf, and the
@@ -583,6 +589,10 @@ TEST(RunStats, EngineMirrorsCountersIntoRegistry) {
   EXPECT_DOUBLE_EQ(snap.find("engine.completions")->value, 2.0);
   EXPECT_DOUBLE_EQ(snap.find("engine.arrivals")->value, 2.0);
   EXPECT_EQ(snap.find("engine.decide")->count, 1u);
+  ASSERT_NE(snap.find("engine.rates"), nullptr);
+  ASSERT_NE(snap.find("engine.sweep"), nullptr);
+  EXPECT_DOUBLE_EQ(snap.find("engine.rates")->value, r.stats->rates_seconds);
+  EXPECT_DOUBLE_EQ(snap.find("engine.sweep")->value, r.stats->sweep_seconds);
 }
 
 // ----------------------------------------------------------- trace export

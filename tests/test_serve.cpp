@@ -27,6 +27,7 @@
 #include <filesystem>
 #include <fstream>
 #include <future>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -381,6 +382,108 @@ TEST(Snapshot, FileRoundTrip) {
   EXPECT_EQ(serve::encode_snapshot(back), serve::encode_snapshot(snap));
   EXPECT_THROW((void)serve::read_snapshot_file(path + ".missing"),
                std::runtime_error);
+}
+
+// ------------------------------------------------ snapshot import checks
+//
+// import_state() trusts nothing it cannot survive. Each case decodes a
+// real mid-stream snapshot (20 ISRPT jobs, m = 4, advanced to t = 3),
+// changes one field, re-encodes it and restores it. Before the checks,
+// a NaN release or clock hung finish(), and a NaN / negative remaining
+// work or a release behind the frontier finished with a wrong flow.
+
+serve::SessionSnapshot probe_snapshot() {
+  serve::Session s({"isrpt", 4, 1.0, nullptr});
+  for (const Job& j : mixed_jobs(20, 11)) s.admit(j);
+  s.advance(3.0);
+  return serve::decode_snapshot(s.snapshot());
+}
+
+void expect_restore_rejects(void (*mutate)(EngineState&), const char* needle) {
+  serve::SessionSnapshot snap = probe_snapshot();
+  ASSERT_GE(snap.engine.alive.size(), 1u);
+  ASSERT_GE(snap.engine.pending.size(), 2u);
+  mutate(snap.engine);
+  const std::string blob = serve::encode_snapshot(snap);
+  try {
+    (void)serve::Session::restore(blob);
+    FAIL() << "restore accepted a snapshot with a bad " << needle;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(SnapshotImport, UnchangedProbeSnapshotRestores) {
+  const serve::SessionSnapshot snap = probe_snapshot();
+  auto clone = serve::Session::restore(serve::encode_snapshot(snap));
+  clone->finish();
+  EXPECT_EQ(clone->result().records.size(), 20u);
+}
+
+TEST(SnapshotImport, RejectsNonFiniteOrBackwardTimes) {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  expect_restore_rejects([](EngineState& e) { e.now = kNaN; }, "finite");
+  expect_restore_rejects([](EngineState& e) { e.frontier = kNaN; }, "finite");
+  expect_restore_rejects(
+      [](EngineState& e) {
+        e.frontier = std::numeric_limits<double>::infinity();
+      },
+      "finite");
+  expect_restore_rejects([](EngineState& e) { e.frontier = e.now - 1.0; },
+                         "frontier precedes");
+}
+
+TEST(SnapshotImport, RejectsBadPendingReleases) {
+  expect_restore_rejects(
+      [](EngineState& e) {
+        e.pending[0].release = std::numeric_limits<double>::quiet_NaN();
+      },
+      "release must be finite");
+  // Before the frontier (and out of order).
+  expect_restore_rejects([](EngineState& e) { e.pending[1].release = 0.0; },
+                         "precedes the frontier");
+  // Past the frontier but out of order.
+  expect_restore_rejects(
+      [](EngineState& e) {
+        e.pending[1].release = 0.5 * (e.frontier + e.pending[0].release);
+      },
+      "out of order");
+  expect_restore_rejects(
+      [](EngineState& e) {
+        e.pending[0].size = std::numeric_limits<double>::infinity();
+      },
+      "size must be finite");
+}
+
+// Every snapshot a live session can take must restore: advance() keeps
+// the frontier finite by rejecting a non-finite target, and the session
+// stays usable.
+TEST(SnapshotImport, AdvanceKeepsTheFrontierFinite) {
+  serve::Session s({"isrpt", 2, 1.0, nullptr});
+  for (const Job& j : mixed_jobs(6, 3)) s.admit(j);
+  EXPECT_THROW(s.advance(std::numeric_limits<double>::infinity()),
+               std::invalid_argument);
+  EXPECT_THROW(s.advance(std::numeric_limits<double>::quiet_NaN()),
+               std::invalid_argument);
+  s.advance(1.0);
+  auto clone = serve::Session::restore(s.snapshot());
+  clone->finish();
+  s.finish();
+  expect_results_identical(s.result(), clone->result());
+}
+
+TEST(SnapshotImport, RejectsRemainingWorkOutsideZeroToSize) {
+  expect_restore_rejects(
+      [](EngineState& e) {
+        e.alive[0].remaining = std::numeric_limits<double>::quiet_NaN();
+      },
+      "remaining");
+  expect_restore_rejects([](EngineState& e) { e.alive[0].remaining = -5.0; },
+                         "remaining");
+  expect_restore_rejects(
+      [](EngineState& e) { e.alive[0].remaining = e.alive[0].size * 2.0; },
+      "remaining");
 }
 
 // --------------------------------------------------------- JSON parser
@@ -949,6 +1052,21 @@ TEST(FlightDump, SimulationStallWritesASchemaValidDump) {
   EXPECT_TRUE(saw_stall);
   EXPECT_TRUE(saw_admit);
   EXPECT_GT(body_lines, 0u);
+  std::filesystem::remove(path);
+}
+
+// A snapshot that import_state() rejects (see SnapshotImport above)
+// reaches an NDJSON client as ok:false naming the field.
+TEST(Protocol, RestoreOfABadSnapshotAnswersAnError) {
+  serve::SessionSnapshot snap = probe_snapshot();
+  snap.engine.alive[0].remaining = -5.0;
+  const std::string path = testing::TempDir() + "bad_remaining.psnp";
+  serve::write_snapshot_file(path, snap);
+  ProtoClient client(server_config(1, 2, 8));
+  const obs::JsonValue r = client.call_json(
+      R"({"op":"restore","id":1,"path":)" + obs::json_quote(path) + "}");
+  EXPECT_FALSE(r.bool_or("ok", true));
+  EXPECT_NE(r.string_or("error", "").find("remaining"), std::string::npos);
   std::filesystem::remove(path);
 }
 

@@ -258,14 +258,15 @@ TEST(Result, MaxFlowAndAvgFlow) {
 TEST(SchedulerContext, ByRemainingOrder) {
   std::vector<AliveJob> alive(3);
   alive[0].id = 0;
-  alive[0].remaining = 5.0;
   alive[1].id = 1;
-  alive[1].remaining = 1.0;
   alive[2].id = 2;
-  alive[2].remaining = 3.0;
+  // A context reads remaining work from its column; the records' field
+  // (left at 0 here) is not consulted.
+  const std::vector<double> remaining = {5.0, 1.0, 3.0};
   IncrementalOrders orders;
   orders.rebuild(alive);
-  SchedulerContext ctx(0.0, 4, alive, orders);
+  SchedulerContext ctx(0.0, 4, alive, remaining, orders);
+  EXPECT_EQ(ctx.remaining(1), 1.0);
   const auto order = ctx.by_remaining();
   EXPECT_EQ(order[0], 1u);
   EXPECT_EQ(order[1], 2u);
@@ -278,9 +279,10 @@ TEST(SchedulerContext, ByLatestArrival) {
   alive[0].release = 1.0;
   alive[1].id = 1;
   alive[1].release = 9.0;
+  const std::vector<double> remaining(alive.size(), 1.0);
   IncrementalOrders orders;
   orders.rebuild(alive);
-  SchedulerContext ctx(0.0, 4, alive, orders);
+  SchedulerContext ctx(0.0, 4, alive, remaining, orders);
   const auto order = ctx.by_latest_arrival();
   EXPECT_EQ(order[0], 1u);
   EXPECT_EQ(order[1], 0u);

@@ -93,6 +93,29 @@ TEST(AllocationSupport, FillIsDenseAndGiveStillWrites) {
             (std::vector<double>{0.5, 2.0, 0.5}));
 }
 
+TEST(AllocationSupport, OnlyAnUnbrokenFillIsUniform) {
+  Allocation a;
+  a.reset(3);
+  EXPECT_FALSE(a.uniform());
+  a.fill(0.5);
+  EXPECT_TRUE(a.uniform());
+  EXPECT_TRUE(a.dense());
+  a.give(1, 0.5);  // same share, but written per job: dense, not uniform
+  EXPECT_FALSE(a.uniform());
+  EXPECT_TRUE(a.dense());
+  a.reset(3);
+  a.fill(0.0);  // DenseCopy's pattern: fill(0), then give()
+  a.give(2, 1.0);
+  EXPECT_TRUE(a.dense());
+  EXPECT_FALSE(a.uniform());
+  a.fill(0.25);
+  a.reset(3);
+  EXPECT_FALSE(a.uniform());
+  a.fill(0.25);
+  a.assign({0.25, 0.25, 0.25});
+  EXPECT_FALSE(a.uniform());
+}
+
 TEST(AllocationSupport, AssignRebuildsTheSupportFromNonzeroShares) {
   Allocation a;
   a.assign({0.0, 1.5, 0.0, -0.0, 0.25});
@@ -452,6 +475,188 @@ TEST(SparseSteps, MatchTheDensePathBitForBit) {
             << policy;
       }
     }
+  }
+}
+
+// --------------------------------------------------- uniform decisions
+
+/// Wraps a policy and re-writes job 0's share with give(): same shares,
+/// still dense, but no longer uniform — so the engine evaluates every
+/// rate through the kernels instead of its uniform shortcut.
+class NonUniformCopy final : public Scheduler {
+ public:
+  explicit NonUniformCopy(std::unique_ptr<Scheduler> inner)
+      : inner_(std::move(inner)) {}
+  std::string name() const override { return inner_->name(); }
+  void reset() override { inner_->reset(); }
+  void allocate(const SchedulerContext& ctx, Allocation& out) override {
+    inner_->allocate(ctx, out);
+    if (out.uniform()) out.give(0, out.shares()[0]);
+  }
+
+ private:
+  std::unique_ptr<Scheduler> inner_;
+};
+
+void expect_bit_identical(const SimResult& a, const SimResult& b,
+                          const std::string& what) {
+  EXPECT_EQ(a.decisions, b.decisions) << what;
+  EXPECT_EQ(a.events, b.events) << what;
+  EXPECT_EQ(bits(a.total_flow), bits(b.total_flow)) << what;
+  EXPECT_EQ(bits(a.weighted_flow), bits(b.weighted_flow)) << what;
+  EXPECT_EQ(bits(a.fractional_flow), bits(b.fractional_flow)) << what;
+  EXPECT_EQ(bits(a.makespan), bits(b.makespan)) << what;
+  ASSERT_EQ(a.records.size(), b.records.size()) << what;
+  for (std::size_t k = 0; k < a.records.size(); ++k) {
+    EXPECT_EQ(a.records[k].job.id, b.records[k].job.id) << what;
+    EXPECT_EQ(bits(a.records[k].completion), bits(b.records[k].completion))
+        << what << " record " << k;
+  }
+}
+
+// The uniform shortcut (one rate speed·s, min(phase_remaining) / r) must
+// give exactly the kernel path's bits: Γ(x) = x on [0, 1] for every
+// curve, and division by r > 0 is monotone. Shares above 1 (fewer jobs
+// than machines) take the kernels either way.
+TEST(UniformDecisions, MatchTheKernelPathBitForBit) {
+  RandomWorkloadConfig rnd;
+  rnd.machines = 8;
+  rnd.jobs = 300;
+  rnd.P = 64.0;
+  rnd.load = 1.0;
+  rnd.size_law = SizeLaw::kBimodal;
+  rnd.seed = 3;
+  PhasedWorkloadConfig phased;
+  phased.machines = 16;
+  phased.jobs = 300;
+  phased.load = 0.9;
+  phased.seed = 29;
+  const Instance instances[] = {make_random_instance(rnd),
+                                make_phased_instance(phased)};
+  for (const double speed : {1.0, 1.5}) {
+    EngineConfig ec;
+    ec.speed = speed;
+    for (const Instance& inst : instances) {
+      for (const char* policy :
+           {"equi", "isrpt", "isrpt-thresh:2.0", "setf:0.2", "wisrpt"}) {
+        auto uniform = make_scheduler(policy);
+        NonUniformCopy kernel(make_scheduler(policy));
+        expect_bit_identical(simulate(inst, *uniform, ec),
+                             simulate(inst, kernel, ec),
+                             std::string(policy) + " speed " +
+                                 std::to_string(speed));
+      }
+    }
+  }
+}
+
+// ----------------------------------------------- one live remaining column
+//
+// Remaining work lives only in the engine's SoA column; the records'
+// AliveJob::remaining is refreshed only for observers. A policy that
+// still read the records would see admission values without an
+// observer and values one decision old with one, so running every
+// registry policy both ways and requiring bit-identical results catches
+// any such read.
+
+class NoopObserver final : public Observer {};
+
+const char* const kRegistryPolicies[] = {
+    "isrpt",    "seq-srpt", "par-srpt",        "greedy",
+    "equi",     "laps:0.5", "oldest-equi:0.5", "setf:0.2",
+    "mlf",      "wisrpt",   "isrpt-thresh:2.0", "isrpt-boost",
+    "quantized-equi:0.5",
+};
+
+void expect_observer_blind(const Instance& inst, const std::string& what) {
+  for (const char* policy : kRegistryPolicies) {
+    auto plain = make_scheduler(policy);
+    auto watched = make_scheduler(policy);
+    NoopObserver noop;
+    expect_bit_identical(simulate(inst, *plain),
+                         simulate(inst, *watched, {}, {&noop}),
+                         std::string(policy) + " on " + what);
+  }
+}
+
+TEST(RemainingColumn, PoliciesIgnoreTheRecordsOnTheE1Grid) {
+  for (const double alpha : {0.25, 0.5}) {
+    for (const double P : {8.0, 64.0, 256.0}) {
+      RandomWorkloadConfig cfg;
+      cfg.machines = 8;
+      cfg.jobs = 400;
+      cfg.P = P;
+      cfg.alpha_lo = cfg.alpha_hi = alpha;
+      cfg.load = 1.0;
+      cfg.seed = 7;
+      expect_observer_blind(make_random_instance(cfg),
+                            "E1 alpha " + std::to_string(alpha) + " P " +
+                                std::to_string(P));
+    }
+  }
+}
+
+TEST(RemainingColumn, PoliciesIgnoreTheRecordsOnTheE5Grid) {
+  for (const double alpha : {1.0, 0.9, 0.5, 0.25}) {
+    RandomWorkloadConfig cfg;
+    cfg.machines = 8;
+    cfg.jobs = 300;
+    cfg.P = 64.0;
+    cfg.alpha_lo = cfg.alpha_hi = alpha;
+    cfg.load = 1.0;
+    cfg.size_law = SizeLaw::kBimodal;
+    cfg.seed = 3;
+    expect_observer_blind(make_random_instance(cfg),
+                          "E5 alpha " + std::to_string(alpha));
+  }
+}
+
+TEST(RemainingColumn, PoliciesIgnoreTheRecordsOnPhasedJobs) {
+  PhasedWorkloadConfig cfg;
+  cfg.machines = 16;
+  cfg.jobs = 300;
+  cfg.bottleneck_fraction = 0.25;
+  cfg.load = 0.9;
+  cfg.seed = 29;
+  expect_observer_blind(make_phased_instance(cfg), "phased");
+}
+
+// Observers see the live remaining work: at every decision the records
+// they are handed agree bit-for-bit with the engine's column.
+TEST(RemainingColumn, ObserversSeeTheColumnsValues) {
+  class Checker final : public Observer {
+   public:
+    explicit Checker(const Engine* e) : engine_(e) {}
+    void on_decision(double, std::span<const AliveJob> alive,
+                     std::span<const double>) override {
+      const std::vector<double>& col = engine_->alive_soa().remaining;
+      ASSERT_EQ(col.size(), alive.size());
+      for (std::size_t i = 0; i < alive.size(); ++i) {
+        if (bits(alive[i].remaining) != bits(col[i])) ++stale;
+      }
+      ++decisions;
+    }
+    std::size_t decisions = 0;
+    std::size_t stale = 0;
+
+   private:
+    const Engine* engine_;
+  };
+  RandomWorkloadConfig cfg;
+  cfg.machines = 4;
+  cfg.jobs = 200;
+  cfg.load = 1.0;
+  cfg.seed = 13;
+  const Instance inst = make_random_instance(cfg);
+  for (const char* policy : {"equi", "isrpt", "laps:0.5"}) {
+    Engine engine(inst.machines());
+    Checker checker(&engine);
+    engine.add_observer(&checker);
+    auto sched = make_scheduler(policy);
+    VectorSource source(inst.jobs());
+    (void)engine.run(*sched, source);
+    EXPECT_GT(checker.decisions, 0u) << policy;
+    EXPECT_EQ(checker.stale, 0u) << policy;
   }
 }
 

@@ -60,6 +60,26 @@ def bench_report(schema=2, torn=False, monotone=True):
     }
 
 
+def stats_report(rates=0.02, sweep=0.03):
+    """A bench report whose run carries profiling stats; the rates and
+    sweep sub-buckets must fit inside solver_seconds (0.06)."""
+    doc = bench_report()
+    doc["runs"][0]["stats"] = {
+        "wall_seconds": 0.1,
+        "decide_seconds": 0.01,
+        "solver_seconds": 0.06,
+        "observer_seconds": 0.0,
+        "rates_seconds": rates,
+        "sweep_seconds": sweep,
+        "decisions": 4,
+        "arrivals": 2,
+        "completions": 2,
+        "decision_interval": histogram(),
+        "alive_count": histogram(),
+    }
+    return doc
+
+
 def cluster_report(drop_table=None, drop_column=None):
     doc = bench_report()
     doc["name"] = "serve_cluster"
@@ -227,6 +247,9 @@ def main() -> int:
         ("BENCH_old_schema.json", bench_report(schema=1), False, 1),
         ("BENCH_torn_total.json", bench_report(torn=True), False, 1),
         ("BENCH_bad_quantiles.json", bench_report(monotone=False), False, 1),
+        ("BENCH_stats_ok.json", stats_report(), False, 0),
+        ("BENCH_stats_parts_exceed_solver.json",
+         stats_report(rates=0.04, sweep=0.03), False, 1),
         ("snapshot_ok.jsonl", snapshot_jsonl(), True, 0),
         ("snapshot_bad_seq.jsonl", snapshot_jsonl(bad_seq=True), True, 1),
         ("snapshot_bad_schema.jsonl", snapshot_jsonl(bad_schema=True),

@@ -8,7 +8,8 @@ tool normalizes a parsched-bench-report by masking exactly the fields
 that are allowed to differ, then diffs the rest byte-for-byte:
 
   * any key named wall_seconds / decide_seconds / solver_seconds /
-    observer_seconds, wherever it appears (runs, stats, nested);
+    observer_seconds / rates_seconds / sweep_seconds, wherever it
+    appears (runs, stats, nested);
   * metrics entries of kind "timer" (their seconds are wall time), and
     any metric named under "exec.pool." (pool instrumentation scales
     with the worker count by design);
@@ -41,6 +42,8 @@ TIMING_KEYS = {
     "decide_seconds",
     "solver_seconds",
     "observer_seconds",
+    "rates_seconds",
+    "sweep_seconds",
 }
 
 TIMING_TABLE_COLUMNS = {

@@ -87,6 +87,8 @@ STATS_REQUIRED = {
     "decide_seconds": (int, float),
     "solver_seconds": (int, float),
     "observer_seconds": (int, float),
+    "rates_seconds": (int, float),
+    "sweep_seconds": (int, float),
     "decisions": int,
     "arrivals": int,
     "completions": int,
@@ -138,6 +140,14 @@ def check_stats(stats, where: str) -> None:
         return
     for key, types in STATS_REQUIRED.items():
         need(stats, key, types, where)
+    # rates and sweep are sub-buckets of the solver time, never beside it.
+    # The slack covers float rounding of the separately summed intervals.
+    parts = stats["rates_seconds"] + stats["sweep_seconds"]
+    if parts > stats["solver_seconds"] * (1 + 1e-9) + 1e-9:
+        raise Invalid(
+            f"{where}: rates_seconds + sweep_seconds = {parts} exceeds "
+            f"solver_seconds = {stats['solver_seconds']}"
+        )
     for key in ("decision_interval", "alive_count"):
         check_histogram(need(stats, key, dict, where), f"{where}.{key}")
 
